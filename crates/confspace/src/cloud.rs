@@ -6,6 +6,7 @@
 //! behind each choice live in `simcluster::catalog`.
 
 use crate::param::ParamDef;
+use crate::point::Coord;
 use crate::space::{Constraint, ParamSpace};
 
 /// Canonical names of the cloud parameters.
@@ -25,11 +26,22 @@ pub const FAMILIES: [&str; 5] = ["m5", "c5", "r5", "h1", "i3"];
 /// Instance sizes available in the simulated catalog.
 pub const SIZES: [&str; 4] = ["large", "xlarge", "2xlarge", "4xlarge"];
 
+/// The coordinate of `name` among `choices`.
+fn choice(choices: &[&str], name: &str) -> Coord {
+    Coord::Choice(
+        choices
+            .iter()
+            .position(|c| *c == name)
+            .expect("catalog choice"),
+    )
+}
+
 /// Builds the cloud parameter space.
 ///
 /// The default mirrors the paper's Table I testbed: 4 × h1.4xlarge.
 pub fn cloud_space() -> ParamSpace {
     use names::*;
+    let (h1, large) = (choice(&FAMILIES, "h1"), choice(&SIZES, "large"));
     ParamSpace::new()
         .with(ParamDef::categorical(
             INSTANCE_FAMILY,
@@ -50,9 +62,11 @@ pub fn cloud_space() -> ParamSpace {
             4,
             "number of worker nodes",
         ))
-        .with_constraint(Constraint::new("h1 has no `large` size", |c| {
-            !(c.str(INSTANCE_FAMILY) == "h1" && c.str(INSTANCE_SIZE) == "large")
-        }))
+        .with_constraint(Constraint::new(
+            "h1 has no `large` size",
+            &[INSTANCE_FAMILY, INSTANCE_SIZE],
+            move |v| !(v[0] == h1 && v[1] == large),
+        ))
 }
 
 /// Builds the *joint* cloud + DISC space (§I: optimal choices for cloud
@@ -93,6 +107,41 @@ mod tests {
         assert_eq!(j.len(), 3 + 26);
         assert!(j.param(names::NODE_COUNT).is_some());
         assert!(j.param(crate::spark::names::EXECUTOR_CORES).is_some());
+    }
+
+    #[test]
+    fn joint_space_enforces_both_layers_constraints() {
+        use crate::error::ConfigError;
+        use crate::spark::names as sp;
+        let j = joint_space();
+        let base = j.default_configuration();
+        assert!(j.validate(&base).is_ok());
+        let h1_large = base.clone().with(names::INSTANCE_SIZE, "large");
+        assert_eq!(
+            j.validate(&h1_large),
+            Err(ConfigError::ConstraintViolated(
+                "h1 has no `large` size".into()
+            ))
+        );
+        // The speculation quantile's range already excludes values below
+        // 0.5, so the Spark constraint is checked on its own, on a point
+        // that bypasses the range check.
+        let speculating = base.with(sp::SPECULATION, true);
+        let mut point = j.point(&speculating).unwrap();
+        assert!(j.check_constraints(&point).is_ok());
+        let q = j.index_of(sp::SPECULATION_QUANTILE).unwrap();
+        point = point
+            .coords()
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| if i == q { Coord::Float(0.3) } else { c })
+            .collect();
+        assert_eq!(
+            j.check_constraints(&point),
+            Err(ConfigError::ConstraintViolated(
+                "speculation.quantile >= 0.5 when speculation enabled".into()
+            ))
+        );
     }
 
     #[test]

@@ -10,26 +10,33 @@
 //!   the small categorical domains used here).
 //!
 //! Decoding rounds to the nearest admissible value, so
-//! `decode(encode(cfg)) == clamp(cfg)` for any valid `cfg`.
+//! `decode(encode(cfg)) == clamp(cfg)` for any valid `cfg`. Both
+//! directions work on [`Point`]s; the [`Configuration`] forms convert
+//! at the boundary.
 //!
 //! [`ParamDef::log_float`]: crate::param::ParamDef::log_float
 
 use crate::config::Configuration;
-use crate::param::{ParamKind, ParamValue};
+use crate::param::{grid_steps, ParamKind};
+use crate::point::{Coord, Point};
 use crate::space::ParamSpace;
 
 impl ParamSpace {
     /// Encodes `cfg` into a `len()`-dimensional vector in `[0, 1]^d`.
     ///
     /// Missing parameters encode as their default; out-of-range values
-    /// are clamped.
+    /// are clamped (see [`ParamSpace::clamp_point`]).
     pub fn encode(&self, cfg: &Configuration) -> Vec<f64> {
+        self.encode_point(&self.clamp_point(cfg))
+    }
+
+    /// Encodes `point` into a `len()`-dimensional vector in `[0, 1]^d`.
+    /// Out-of-range coordinates are clamped.
+    pub fn encode_point(&self, point: &Point) -> Vec<f64> {
         self.params()
             .iter()
-            .map(|p| {
-                let v = cfg.get(&p.name).unwrap_or(&p.default);
-                encode_value(&p.kind, v)
-            })
+            .zip(point.coords())
+            .map(|(p, &c)| encode_coord(&p.kind, c))
             .collect()
     }
 
@@ -41,6 +48,16 @@ impl ParamSpace {
     ///
     /// Panics if `v.len()` differs from [`ParamSpace::len`].
     pub fn decode(&self, v: &[f64]) -> Configuration {
+        self.configuration(&self.decode_point(v))
+    }
+
+    /// Decodes a feature vector into a point of admissible values (see
+    /// [`ParamSpace::decode`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len()` differs from [`ParamSpace::len`].
+    pub(crate) fn decode_point(&self, v: &[f64]) -> Point {
         assert_eq!(
             v.len(),
             self.len(),
@@ -51,22 +68,22 @@ impl ParamSpace {
         self.params()
             .iter()
             .zip(v)
-            .map(|(p, &x)| (p.name.clone(), decode_value(&p.kind, x.clamp(0.0, 1.0))))
+            .map(|(p, &x)| decode_coord(&p.kind, x.clamp(0.0, 1.0)))
             .collect()
     }
 }
 
-fn encode_value(kind: &ParamKind, v: &ParamValue) -> f64 {
+fn encode_coord(kind: &ParamKind, c: Coord) -> f64 {
     match kind {
         ParamKind::Int { lo, hi, .. } => {
             if hi == lo {
                 return 0.0;
             }
-            let x = v.as_int().unwrap_or(*lo).clamp(*lo, *hi);
+            let x = c.as_int().unwrap_or(*lo).clamp(*lo, *hi);
             (x - lo) as f64 / (hi - lo) as f64
         }
         ParamKind::Float { lo, hi, log } => {
-            let x = v.as_float().unwrap_or(*lo).clamp(*lo, *hi);
+            let x = c.as_float().unwrap_or(*lo).clamp(*lo, *hi);
             if *log {
                 let (llo, lhi) = (lo.ln(), hi.ln());
                 if lhi == llo {
@@ -81,7 +98,7 @@ fn encode_value(kind: &ParamKind, v: &ParamValue) -> f64 {
             }
         }
         ParamKind::Bool => {
-            if v.as_bool().unwrap_or(false) {
+            if c.as_bool().unwrap_or(false) {
                 1.0
             } else {
                 0.0
@@ -91,22 +108,20 @@ fn encode_value(kind: &ParamKind, v: &ParamValue) -> f64 {
             if choices.len() <= 1 {
                 return 0.0;
             }
-            let idx = v
-                .as_str()
-                .and_then(|s| choices.iter().position(|c| c == s))
-                .unwrap_or(0);
+            let idx = c.as_choice().filter(|&i| i < choices.len()).unwrap_or(0);
             idx as f64 / (choices.len() - 1) as f64
         }
     }
 }
 
-fn decode_value(kind: &ParamKind, x: f64) -> ParamValue {
+fn decode_coord(kind: &ParamKind, x: f64) -> Coord {
     match kind {
         ParamKind::Int { lo, hi, step } => {
             let raw = *lo as f64 + x * (hi - lo) as f64;
             let steps = ((raw - *lo as f64) / *step as f64).round() as i64;
-            let v = (lo + steps * step).clamp(*lo, *hi);
-            ParamValue::Int(v)
+            // Cap at the last grid value: `hi` itself need not be on the
+            // step grid.
+            Coord::Int(lo + steps.clamp(0, grid_steps(*lo, *hi, *step)) * step)
         }
         ParamKind::Float { lo, hi, log } => {
             let v = if *log {
@@ -114,16 +129,16 @@ fn decode_value(kind: &ParamKind, x: f64) -> ParamValue {
             } else {
                 lo + x * (hi - lo)
             };
-            ParamValue::Float(v.clamp(*lo, *hi))
+            Coord::Float(v.clamp(*lo, *hi))
         }
-        ParamKind::Bool => ParamValue::Bool(x >= 0.5),
+        ParamKind::Bool => Coord::Bool(x >= 0.5),
         ParamKind::Categorical { choices } => {
             let idx = if choices.len() <= 1 {
                 0
             } else {
                 (x * (choices.len() - 1) as f64).round() as usize
             };
-            ParamValue::Str(choices[idx.min(choices.len() - 1)].clone())
+            Coord::Choice(idx.min(choices.len() - 1))
         }
     }
 }

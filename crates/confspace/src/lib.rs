@@ -7,7 +7,11 @@
 //!   parameter (integer range, continuous range, boolean, categorical);
 //! * [`ParamSpace`] — an ordered collection of parameter definitions with
 //!   optional cross-parameter constraints;
-//! * [`Configuration`] — a concrete assignment of values to parameters;
+//! * [`Point`] — a configuration as one typed [`Coord`] per parameter in
+//!   encoding order, the form every sampler, check and encoding works
+//!   on;
+//! * [`Configuration`] — a concrete assignment of values to named
+//!   parameters, the boundary form tuners return and serde writes;
 //! * [`spark::spark_space`] and [`cloud::cloud_space`] — the parameter
 //!   catalogs used throughout the paper reproduction (≈26 Spark parameters
 //!   mirroring `spark.*` knobs, and the cloud-layer instance
@@ -38,6 +42,7 @@ pub mod config;
 pub mod encode;
 pub mod error;
 pub mod param;
+pub mod point;
 pub mod sample;
 pub mod space;
 pub mod spark;
@@ -45,7 +50,9 @@ pub mod spark;
 pub use config::Configuration;
 pub use error::ConfigError;
 pub use param::{ParamDef, ParamKind, ParamValue};
+pub use point::{Coord, Point};
 pub use sample::{
-    crossover, mutate, neighbor, DivideAndDiverge, LatinHypercube, Sampler, UniformSampler,
+    crossover, crossover_points, mutate, mutate_point, neighbor, neighbor_point, DivideAndDiverge,
+    LatinHypercube, Sampler, UniformSampler,
 };
-pub use space::{Constraint, ParamSpace};
+pub use space::{Constraint, ConstraintArgs, ParamSpace};

@@ -5,6 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ConfigError;
+use crate::point::Coord;
 
 /// A concrete value assigned to a parameter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -148,6 +149,17 @@ impl ParamKind {
     }
 }
 
+/// The last grid index of a stepped int range: how many whole steps from
+/// `lo` stay within `hi`. The `step == 1` case skips the 64-bit
+/// division, which costs more than the rest of a draw.
+pub(crate) fn grid_steps(lo: i64, hi: i64, step: i64) -> i64 {
+    if step == 1 {
+        hi - lo
+    } else {
+        (hi - lo) / step
+    }
+}
+
 /// The definition of a single tunable parameter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParamDef {
@@ -247,47 +259,110 @@ impl ParamDef {
     /// Returns [`ConfigError::TypeMismatch`] when the value has the wrong
     /// kind and [`ConfigError::OutOfRange`] when it is outside the domain.
     pub fn check(&self, value: &ParamValue) -> Result<(), ConfigError> {
+        self.check_coord(self.coord(value)?)
+    }
+
+    /// The coordinate of `value`, checked for kind (and, for a
+    /// categorical, for membership in the choices) but not for range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::TypeMismatch`] when the value has the wrong
+    /// kind and [`ConfigError::OutOfRange`] for an unknown choice.
+    pub(crate) fn coord(&self, value: &ParamValue) -> Result<Coord, ConfigError> {
         match (&self.kind, value) {
-            (ParamKind::Int { lo, hi, step }, ParamValue::Int(v)) => {
-                if v < lo || v > hi || (v - lo) % step != 0 {
-                    Err(ConfigError::OutOfRange {
-                        param: self.name.clone(),
-                        value: v.to_string(),
-                    })
-                } else {
-                    Ok(())
-                }
+            (ParamKind::Int { .. }, ParamValue::Int(v)) => Ok(Coord::Int(*v)),
+            (ParamKind::Float { .. }, ParamValue::Float(v)) => Ok(Coord::Float(*v)),
+            (ParamKind::Bool, ParamValue::Bool(v)) => Ok(Coord::Bool(*v)),
+            (ParamKind::Categorical { choices }, ParamValue::Str(v)) => choices
+                .iter()
+                .position(|c| c == v)
+                .map(Coord::Choice)
+                .ok_or_else(|| ConfigError::OutOfRange {
+                    param: self.name.clone(),
+                    value: v.clone(),
+                }),
+            _ => Err(self.type_mismatch()),
+        }
+    }
+
+    /// Checks that coordinate `c` is admissible for this parameter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::TypeMismatch`] when the coordinate has the
+    /// wrong kind and [`ConfigError::OutOfRange`] when it is outside the
+    /// domain.
+    #[inline]
+    pub(crate) fn check_coord(&self, c: Coord) -> Result<(), ConfigError> {
+        let admissible = match (&self.kind, c) {
+            (ParamKind::Int { lo, hi, step }, Coord::Int(v)) => {
+                // `step == 1` skips the division, as in `grid_steps`.
+                v >= *lo && v <= *hi && (*step == 1 || (v - lo) % step == 0)
             }
-            (ParamKind::Float { lo, hi, .. }, ParamValue::Float(v)) => {
-                if !v.is_finite() || v < lo || v > hi {
-                    Err(ConfigError::OutOfRange {
-                        param: self.name.clone(),
-                        value: v.to_string(),
-                    })
-                } else {
-                    Ok(())
-                }
+            (ParamKind::Float { lo, hi, .. }, Coord::Float(v)) => {
+                v.is_finite() && v >= *lo && v <= *hi
             }
-            (ParamKind::Bool, ParamValue::Bool(_)) => Ok(()),
-            (ParamKind::Categorical { choices }, ParamValue::Str(v)) => {
-                if choices.iter().any(|c| c == v) {
-                    Ok(())
-                } else {
-                    Err(ConfigError::OutOfRange {
-                        param: self.name.clone(),
-                        value: v.clone(),
-                    })
-                }
-            }
-            (kind, _) => Err(ConfigError::TypeMismatch {
+            (ParamKind::Bool, Coord::Bool(_)) => true,
+            (ParamKind::Categorical { choices }, Coord::Choice(i)) => i < choices.len(),
+            _ => return Err(self.type_mismatch()),
+        };
+        if admissible {
+            Ok(())
+        } else {
+            Err(ConfigError::OutOfRange {
                 param: self.name.clone(),
-                expected: match kind {
-                    ParamKind::Int { .. } => "int",
-                    ParamKind::Float { .. } => "float",
-                    ParamKind::Bool => "bool",
-                    ParamKind::Categorical { .. } => "categorical",
-                },
-            }),
+                value: c.to_string(),
+            })
+        }
+    }
+
+    /// The nearest admissible coordinate to `value`, or `None` when the
+    /// value has the wrong kind, is not finite, or names no choice.
+    pub(crate) fn clamp_coord(&self, value: &ParamValue) -> Option<Coord> {
+        match (&self.kind, value) {
+            (ParamKind::Int { lo, hi, step }, ParamValue::Int(x)) => {
+                let x = (*x).clamp(*lo, *hi);
+                Some(Coord::Int(lo + ((x - lo) / step) * step))
+            }
+            (ParamKind::Float { lo, hi, .. }, ParamValue::Float(x)) if x.is_finite() => {
+                Some(Coord::Float(x.clamp(*lo, *hi)))
+            }
+            (ParamKind::Bool, ParamValue::Bool(b)) => Some(Coord::Bool(*b)),
+            (ParamKind::Categorical { choices }, ParamValue::Str(s)) => {
+                choices.iter().position(|c| c == s).map(Coord::Choice)
+            }
+            _ => None,
+        }
+    }
+
+    /// The name-keyed value of coordinate `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c` is a choice index and the parameter is not
+    /// categorical or has no such choice.
+    pub(crate) fn value(&self, c: Coord) -> ParamValue {
+        match (c, &self.kind) {
+            (Coord::Int(v), _) => ParamValue::Int(v),
+            (Coord::Float(v), _) => ParamValue::Float(v),
+            (Coord::Bool(v), _) => ParamValue::Bool(v),
+            (Coord::Choice(i), ParamKind::Categorical { choices }) => {
+                ParamValue::Str(choices[i].clone())
+            }
+            (Coord::Choice(_), _) => panic!("parameter `{}` is not categorical", self.name),
+        }
+    }
+
+    fn type_mismatch(&self) -> ConfigError {
+        ConfigError::TypeMismatch {
+            param: self.name.clone(),
+            expected: match self.kind {
+                ParamKind::Int { .. } => "int",
+                ParamKind::Float { .. } => "float",
+                ParamKind::Bool => "bool",
+                ParamKind::Categorical { .. } => "categorical",
+            },
         }
     }
 }

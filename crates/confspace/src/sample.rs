@@ -1,5 +1,11 @@
 //! Sampling strategies and search operators over parameter spaces.
 //!
+//! Every sampler and operator works on [`Point`]s; the
+//! [`Configuration`] entry points ([`Sampler::sample`],
+//! [`Sampler::sample_n`], [`neighbor`], [`crossover`], [`mutate`]) are
+//! adapters that convert at the boundary, so both forms draw the same
+//! values from the same RNG stream.
+//!
 //! All samplers respect the space's constraints by rejection: a sample
 //! violating a constraint is re-drawn (up to a bounded number of tries,
 //! after which the space's default configuration is returned — spaces in
@@ -10,7 +16,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::config::Configuration;
-use crate::param::{ParamDef, ParamKind, ParamValue};
+use crate::param::{grid_steps, ParamDef, ParamKind};
+use crate::point::{Coord, Point};
 use crate::space::ParamSpace;
 
 /// Maximum rejection-sampling attempts before falling back to defaults.
@@ -18,18 +25,38 @@ const MAX_REJECTS: usize = 256;
 
 /// A strategy producing configurations from a space.
 pub trait Sampler {
-    /// Draws one configuration.
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration;
+    /// Draws one point.
+    fn sample_point<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Point;
 
-    /// Draws `n` configurations. Implementations may coordinate the draws
+    /// Draws `n` points. Implementations may coordinate the draws
     /// (e.g. Latin-hypercube stratification).
+    fn sample_points<R: Rng + ?Sized>(
+        &self,
+        space: &ParamSpace,
+        n: usize,
+        rng: &mut R,
+    ) -> Vec<Point> {
+        (0..n).map(|_| self.sample_point(space, rng)).collect()
+    }
+
+    /// Draws one configuration: [`sample_point`](Self::sample_point),
+    /// named.
+    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
+        space.configuration(&self.sample_point(space, rng))
+    }
+
+    /// Draws `n` configurations: [`sample_points`](Self::sample_points),
+    /// named.
     fn sample_n<R: Rng + ?Sized>(
         &self,
         space: &ParamSpace,
         n: usize,
         rng: &mut R,
     ) -> Vec<Configuration> {
-        (0..n).map(|_| self.sample(space, rng)).collect()
+        self.sample_points(space, n, rng)
+            .iter()
+            .map(|p| space.configuration(p))
+            .collect()
     }
 }
 
@@ -38,18 +65,18 @@ pub trait Sampler {
 pub struct UniformSampler;
 
 impl Sampler for UniformSampler {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
+    fn sample_point<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Point {
         for _ in 0..MAX_REJECTS {
-            let cfg: Configuration = space
+            let point: Point = space
                 .params()
                 .iter()
-                .map(|p| (p.name.clone(), sample_value(p, rng)))
+                .map(|p| sample_coord(p, rng))
                 .collect();
-            if space.validate(&cfg).is_ok() {
-                return cfg;
+            if space.validate_point(&point).is_ok() {
+                return point;
             }
         }
-        space.default_configuration()
+        space.default_point()
     }
 }
 
@@ -61,16 +88,16 @@ impl Sampler for UniformSampler {
 pub struct LatinHypercube;
 
 impl Sampler for LatinHypercube {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        UniformSampler.sample(space, rng)
+    fn sample_point<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Point {
+        UniformSampler.sample_point(space, rng)
     }
 
-    fn sample_n<R: Rng + ?Sized>(
+    fn sample_points<R: Rng + ?Sized>(
         &self,
         space: &ParamSpace,
         n: usize,
         rng: &mut R,
-    ) -> Vec<Configuration> {
+    ) -> Vec<Point> {
         if n == 0 {
             return Vec::new();
         }
@@ -91,11 +118,11 @@ impl Sampler for LatinHypercube {
                     (stratum + rng.gen::<f64>()) / n as f64
                 })
                 .collect();
-            let cfg = space.decode(&v);
-            if space.validate(&cfg).is_ok() {
-                out.push(cfg);
+            let point = space.decode_point(&v);
+            if space.validate_point(&point).is_ok() {
+                out.push(point);
             } else {
-                out.push(UniformSampler.sample(space, rng));
+                out.push(UniformSampler.sample_point(space, rng));
             }
         }
         out
@@ -132,26 +159,26 @@ impl DivideAndDiverge {
         space: &ParamSpace,
         rounds: usize,
         rng: &mut R,
-    ) -> Vec<Configuration> {
+    ) -> Vec<Point> {
         let mut out = Vec::with_capacity(rounds * self.k);
         for _ in 0..rounds {
-            out.extend(LatinHypercube.sample_n(space, self.k, rng));
+            out.extend(LatinHypercube.sample_points(space, self.k, rng));
         }
         out
     }
 }
 
 impl Sampler for DivideAndDiverge {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        UniformSampler.sample(space, rng)
+    fn sample_point<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Point {
+        UniformSampler.sample_point(space, rng)
     }
 
-    fn sample_n<R: Rng + ?Sized>(
+    fn sample_points<R: Rng + ?Sized>(
         &self,
         space: &ParamSpace,
         n: usize,
         rng: &mut R,
-    ) -> Vec<Configuration> {
+    ) -> Vec<Point> {
         let rounds = n.div_ceil(self.k);
         let mut v = self.sample_rounds(space, rounds, rng);
         v.truncate(n);
@@ -159,42 +186,39 @@ impl Sampler for DivideAndDiverge {
     }
 }
 
-/// Draws a value for one parameter uniformly from its domain.
-pub fn sample_value<R: Rng + ?Sized>(p: &ParamDef, rng: &mut R) -> ParamValue {
+/// Draws a coordinate for one parameter uniformly from its domain.
+fn sample_coord<R: Rng + ?Sized>(p: &ParamDef, rng: &mut R) -> Coord {
     match &p.kind {
         ParamKind::Int { lo, hi, step } => {
-            let steps = (hi - lo) / step;
-            ParamValue::Int(lo + rng.gen_range(0..=steps) * step)
+            Coord::Int(lo + rng.gen_range(0..=grid_steps(*lo, *hi, *step)) * step)
         }
         ParamKind::Float { lo, hi, log } => {
             if *log {
-                ParamValue::Float((rng.gen_range(lo.ln()..=hi.ln())).exp())
+                Coord::Float((rng.gen_range(lo.ln()..=hi.ln())).exp())
             } else {
-                ParamValue::Float(rng.gen_range(*lo..=*hi))
+                Coord::Float(rng.gen_range(*lo..=*hi))
             }
         }
-        ParamKind::Bool => ParamValue::Bool(rng.gen()),
-        ParamKind::Categorical { choices } => {
-            ParamValue::Str(choices[rng.gen_range(0..choices.len())].clone())
-        }
+        ParamKind::Bool => Coord::Bool(rng.gen()),
+        ParamKind::Categorical { choices } => Coord::Choice(rng.gen_range(0..choices.len())),
     }
 }
 
-/// Produces a neighbour of `cfg`: each parameter is perturbed with
+/// Produces a neighbour of `point`: each parameter is perturbed with
 /// probability `rate`; numeric parameters move by a Gaussian step of
 /// relative size `scale` (fraction of the range), discrete parameters
 /// re-sample among nearby values.
 ///
-/// The result is clamped to the space; constraint violations fall back
-/// to re-clamping the original configuration.
-pub fn neighbor<R: Rng + ?Sized>(
+/// A candidate that fails [`ParamSpace::validate_point`] (a constraint
+/// violation) falls back to `point` itself.
+pub fn neighbor_point<R: Rng + ?Sized>(
     space: &ParamSpace,
-    cfg: &Configuration,
+    point: &Point,
     scale: f64,
     rate: f64,
     rng: &mut R,
-) -> Configuration {
-    let mut v = space.encode(cfg);
+) -> Point {
+    let mut v = space.encode_point(point);
     for x in v.iter_mut() {
         if rng.gen::<f64>() < rate {
             // Box-Muller-free Gaussian-ish step: sum of 4 uniforms.
@@ -202,63 +226,95 @@ pub fn neighbor<R: Rng + ?Sized>(
             *x = (*x + g * scale * 2.0).clamp(0.0, 1.0);
         }
     }
-    let cand = space.decode(&v);
-    if space.validate(&cand).is_ok() {
+    let cand = space.decode_point(&v);
+    if space.validate_point(&cand).is_ok() {
         cand
     } else {
-        space.clamp(cfg)
+        point.clone()
     }
 }
 
-/// Uniform crossover of two parent configurations (genetic search).
+/// [`neighbor_point`] of `cfg` clamped to the space (so the fallback is
+/// `space.clamp(cfg)`), named.
+pub fn neighbor<R: Rng + ?Sized>(
+    space: &ParamSpace,
+    cfg: &Configuration,
+    scale: f64,
+    rate: f64,
+    rng: &mut R,
+) -> Configuration {
+    let point = neighbor_point(space, &space.clamp_point(cfg), scale, rate, rng);
+    space.configuration(&point)
+}
+
+/// Uniform crossover of two parent points (genetic search); a child
+/// that fails [`ParamSpace::validate_point`] falls back to `a`.
+pub fn crossover_points<R: Rng + ?Sized>(
+    space: &ParamSpace,
+    a: &Point,
+    b: &Point,
+    rng: &mut R,
+) -> Point {
+    let cand: Point = a
+        .coords()
+        .iter()
+        .zip(b.coords())
+        .map(|(&x, &y)| if rng.gen::<bool>() { x } else { y })
+        .collect();
+    if space.validate_point(&cand).is_ok() {
+        cand
+    } else {
+        a.clone()
+    }
+}
+
+/// [`crossover_points`] of the two parents clamped to the space, named.
 pub fn crossover<R: Rng + ?Sized>(
     space: &ParamSpace,
     a: &Configuration,
     b: &Configuration,
     rng: &mut R,
 ) -> Configuration {
-    let cand: Configuration = space
+    let child = crossover_points(space, &space.clamp_point(a), &space.clamp_point(b), rng);
+    space.configuration(&child)
+}
+
+/// Mutates a point: each parameter is re-sampled uniformly with
+/// probability `rate` (genetic search); a result that fails
+/// [`ParamSpace::validate_point`] falls back to `point`.
+pub fn mutate_point<R: Rng + ?Sized>(
+    space: &ParamSpace,
+    point: &Point,
+    rate: f64,
+    rng: &mut R,
+) -> Point {
+    let cand: Point = space
         .params()
         .iter()
-        .map(|p| {
-            let src = if rng.gen::<bool>() { a } else { b };
-            let v = src.get(&p.name).unwrap_or(&p.default).clone();
-            (p.name.clone(), v)
+        .zip(point.coords())
+        .map(|(p, &c)| {
+            if rng.gen::<f64>() < rate {
+                sample_coord(p, rng)
+            } else {
+                c
+            }
         })
         .collect();
-    let cand = space.clamp(&cand);
-    if space.validate(&cand).is_ok() {
+    if space.validate_point(&cand).is_ok() {
         cand
     } else {
-        space.clamp(a)
+        point.clone()
     }
 }
 
-/// Mutates a configuration: each parameter is re-sampled uniformly with
-/// probability `rate` (genetic search).
+/// [`mutate_point`] of `cfg` clamped to the space, named.
 pub fn mutate<R: Rng + ?Sized>(
     space: &ParamSpace,
     cfg: &Configuration,
     rate: f64,
     rng: &mut R,
 ) -> Configuration {
-    let cand: Configuration = space
-        .params()
-        .iter()
-        .map(|p| {
-            let v = if rng.gen::<f64>() < rate {
-                sample_value(p, rng)
-            } else {
-                cfg.get(&p.name).unwrap_or(&p.default).clone()
-            };
-            (p.name.clone(), v)
-        })
-        .collect();
-    if space.validate(&cand).is_ok() {
-        cand
-    } else {
-        space.clamp(cfg)
-    }
+    space.configuration(&mutate_point(space, &space.clamp_point(cfg), rate, rng))
 }
 
 #[cfg(test)]
@@ -377,7 +433,9 @@ mod tests {
     #[test]
     fn constrained_space_samples_satisfy_constraint() {
         use crate::space::Constraint;
-        let s = space().with_constraint(Constraint::new("n even-ish", |c| c.int("n") != 13));
+        let s = space().with_constraint(Constraint::new("n is not 13", &["n"], |v| {
+            v[0] != Coord::Int(13)
+        }));
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..200 {
             let cfg = UniformSampler.sample(&s, &mut rng);

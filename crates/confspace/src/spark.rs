@@ -9,6 +9,7 @@
 //! meaningful inside the simulator.
 
 use crate::param::ParamDef;
+use crate::point::Coord;
 use crate::space::{Constraint, ParamSpace};
 
 /// Canonical names of the Spark parameters, grouped for readability.
@@ -248,7 +249,8 @@ pub fn spark_space() -> ParamSpace {
         ))
         .with_constraint(Constraint::new(
             "speculation.quantile >= 0.5 when speculation enabled",
-            |c| !c.bool(names::SPECULATION) || c.float(names::SPECULATION_QUANTILE) >= 0.5,
+            &[SPECULATION, SPECULATION_QUANTILE],
+            |v| v[0] != Coord::Bool(true) || v[1].as_float().is_some_and(|q| q >= 0.5),
         ))
 }
 

@@ -72,15 +72,11 @@ const GRID: usize = 9;
 ///
 /// Panics when `history` has no successful observation.
 pub fn additive_effects(space: &ParamSpace, history: &[Observation]) -> SensitivityReport {
-    let ok: Vec<Observation> = history.iter().filter(|o| o.is_ok()).cloned().collect();
-    let Some(incumbent) = ok
-        .iter()
-        .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
-        .cloned()
-    else {
+    let ok: Vec<&Observation> = history.iter().filter(|o| o.is_ok()).collect();
+    let Some(incumbent) = ok.iter().min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s)) else {
         panic!("sensitivity analysis needs at least one successful run");
     };
-    let (x, y) = encode_history(space, &ok);
+    let (x, y) = encode_history(space, ok.iter().copied());
     let gp = GpRegressor::fit_auto(
         &x,
         &y,
@@ -138,12 +134,12 @@ pub fn permutation_importance(
     history: &[Observation],
     rng: &mut dyn RngCore,
 ) -> SensitivityReport {
-    let ok: Vec<Observation> = history.iter().filter(|o| o.is_ok()).cloned().collect();
+    let ok: Vec<&Observation> = history.iter().filter(|o| o.is_ok()).collect();
     assert!(
         !ok.is_empty(),
         "sensitivity analysis needs at least one successful run"
     );
-    let (x, y) = encode_history(space, &ok);
+    let (x, y) = encode_history(space, ok.iter().copied());
     let forest = RandomForest::fit(&x, &y, ForestParams::default(), rng);
 
     let sse = |xs: &[Vec<f64>]| -> f64 {

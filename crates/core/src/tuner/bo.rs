@@ -4,7 +4,9 @@
 //! Latin-hypercube design — the data-efficient strategy the paper
 //! contrasts with 500-sample search (§IV-C).
 
-use confspace::{neighbor, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
+use confspace::{
+    neighbor_point, Configuration, LatinHypercube, ParamSpace, Point, Sampler, UniformSampler,
+};
 use models::{expected_improvement, FitKind, GpFitCache, Kernel};
 use rand::RngCore;
 
@@ -98,9 +100,7 @@ impl BayesOpt {
         space: &ParamSpace,
         history: &[Observation],
     ) -> models::GpRegressor {
-        let kept = self.subsample(history);
-        let owned: Vec<Observation> = kept.into_iter().cloned().collect();
-        let (x, y) = encode_history(space, &owned);
+        let (x, y) = encode_history(space, self.subsample(history));
         let reg = obs::registry();
         reg.gauge("par.threads")
             .set(models::par::num_threads() as f64);
@@ -129,20 +129,24 @@ impl BayesOpt {
     }
 
     /// The candidate pool for one acquisition round: global uniform
-    /// samples plus local refinements around the incumbent.
+    /// samples plus local refinements around the incumbent, with their
+    /// encodings. Only the proposals picked from it become named
+    /// configurations.
     fn candidate_pool(
         &self,
         space: &ParamSpace,
         history: &[Observation],
         rng: &mut dyn RngCore,
-    ) -> Vec<Configuration> {
-        let mut cands = UniformSampler.sample_n(space, self.candidates, rng);
+    ) -> (Vec<Point>, Vec<Vec<f64>>) {
+        let mut cands = UniformSampler.sample_points(space, self.candidates, rng);
         if let Some(best) = best_observation(history) {
+            let incumbent = space.clamp_point(&best.config);
             for _ in 0..self.local_candidates {
-                cands.push(neighbor(space, &best.config, 0.05, 0.4, rng));
+                cands.push(neighbor_point(space, &incumbent, 0.05, 0.4, rng));
             }
         }
-        cands
+        let encoded = cands.iter().map(|p| space.encode_point(p)).collect();
+        (cands, encoded)
     }
 
     fn subsample<'a>(&self, history: &'a [Observation]) -> Vec<&'a Observation> {
@@ -204,7 +208,7 @@ impl Tuner for BayesOpt {
             .map(|o| o.runtime_s.max(1e-3).ln())
             .unwrap_or(f64::INFINITY);
 
-        let mut cands = self.candidate_pool(space, history, rng);
+        let (cands, encoded) = self.candidate_pool(space, history, rng);
         let censored = encode_censored(space, history);
 
         let _acq = obs::span("acquisition").with("candidates", cands.len());
@@ -214,7 +218,6 @@ impl Tuner for BayesOpt {
             // back in candidate order, so the arg-max (last maximum on
             // ties, matching the sequential scan) is thread-count
             // independent.
-            let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode(c)).collect();
             let mut scores = models::par::par_chunks(&encoded, EI_CHUNK, |chunk| {
                 gp.predict_batch(chunk)
                     .into_iter()
@@ -226,7 +229,7 @@ impl Tuner for BayesOpt {
                 .into_iter()
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(i, _)| cands.swap_remove(i))
+                .map(|(i, _)| space.configuration(&cands[i]))
                 .unwrap_or_else(|| UniformSampler.sample(space, rng))
         })
     }
@@ -256,14 +259,13 @@ impl Tuner for BayesOpt {
         let best_ln = best_observation(history)
             .map(|o| o.runtime_s.max(1e-3).ln())
             .unwrap_or(f64::INFINITY);
-        let cands = self.candidate_pool(space, history, rng);
+        let (cands, encoded) = self.candidate_pool(space, history, rng);
         let censored = encode_censored(space, history);
 
         let _acq = obs::span("acquisition")
             .with("candidates", cands.len())
             .with("q", q);
         reg.histogram("bo.acquisition_s").time(|| {
-            let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode(c)).collect();
             let mut scores = models::par::par_chunks(&encoded, EI_CHUNK, |chunk| {
                 gp.predict_batch(chunk)
                     .into_iter()
@@ -281,7 +283,7 @@ impl Tuner for BayesOpt {
                     break;
                 };
                 taken[i] = true;
-                out.push(cands[i].clone());
+                out.push(space.configuration(&cands[i]));
                 for j in 0..scores.len() {
                     if taken[j] {
                         continue;

@@ -70,10 +70,10 @@ impl Tuner for ForestTuner {
         let forest = RandomForest::fit(&x, &y, ForestParams::default(), rng);
         let censored = encode_censored(space, history);
         UniformSampler
-            .sample_n(space, self.candidates, rng)
+            .sample_points(space, self.candidates, rng)
             .into_iter()
             .map(|c| {
-                let point = space.encode(&c);
+                let point = space.encode_point(&c);
                 let (m, s) = forest.predict_with_std(&point);
                 let mut score = lower_confidence_bound(m, s, self.beta);
                 if !censored.is_empty() {
@@ -93,7 +93,7 @@ impl Tuner for ForestTuner {
                 (c, score)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
+            .map(|(c, _)| space.configuration(&c))
             .unwrap_or_else(|| space.default_configuration())
     }
 

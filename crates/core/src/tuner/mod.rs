@@ -300,14 +300,15 @@ pub fn best_observation(history: &[Observation]) -> Option<&Observation> {
 /// harness, not a measurement, so surrogates fit on survivors only.
 /// (Objective-level failures — OOM, fetch timeout — stay in: their
 /// penalty *is* the signal that a region misconfigures the job.)
-pub fn encode_history(space: &ParamSpace, history: &[Observation]) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let survivors: Vec<&Observation> = history.iter().filter(|o| !o.is_censored()).collect();
-    let x = survivors.iter().map(|o| space.encode(&o.config)).collect();
-    let y = survivors
-        .iter()
-        .map(|o| o.runtime_s.max(1e-3).ln())
-        .collect();
-    (x, y)
+pub fn encode_history<'a>(
+    space: &ParamSpace,
+    history: impl IntoIterator<Item = &'a Observation>,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
+    history
+        .into_iter()
+        .filter(|o| !o.is_censored())
+        .map(|o| (space.encode(&o.config), o.runtime_s.max(1e-3).ln()))
+        .unzip()
 }
 
 /// Encoded positions of a history's censored observations — the points
@@ -378,11 +379,13 @@ impl TuningSession {
             .with("tuner", self.tuner.name())
             .with("budget", budget);
         let reg = obs::registry();
-        let mut history: Vec<Observation> = Vec::with_capacity(budget);
+        // The strategy sees the warm-start prefix followed by this
+        // session's observations; the outcome reports only the latter.
+        let warm_len = self.warm.len();
+        let mut visible = Vec::with_capacity(warm_len + budget);
+        visible.extend_from_slice(&self.warm);
         for i in 0..budget {
             let mut proposal = obs::span("proposal").with("idx", i);
-            let visible: Vec<Observation> =
-                self.warm.iter().chain(history.iter()).cloned().collect();
             let cfg = {
                 let _propose = obs::span("propose");
                 reg.histogram("tuner.propose_s").time(|| {
@@ -401,8 +404,9 @@ impl TuningSession {
             }
             proposal.record("runtime_s", observed.runtime_s);
             proposal.record("ok", observed.is_ok());
-            history.push(observed);
+            visible.push(observed);
         }
+        let history = visible.split_off(warm_len);
         let best = best_observation(&history).cloned();
         if let Some(b) = &best {
             obs::instant(
@@ -453,14 +457,13 @@ impl TuningSession {
         let mut executor = crate::executor::TrialExecutor::new(self.seed ^ 0xE0E0_7A17)
             .with_resilience(self.policy, self.injector);
         let mut report = DegradationReport::default();
-        let mut history: Vec<Observation> = Vec::with_capacity(budget);
-        while history.len() < budget {
-            let q = batch.max(1).min(budget - history.len());
-            let mut round = obs::span("proposal_batch")
-                .with("idx", history.len())
-                .with("q", q);
-            let visible: Vec<Observation> =
-                self.warm.iter().chain(history.iter()).cloned().collect();
+        let warm_len = self.warm.len();
+        let mut visible = Vec::with_capacity(warm_len + budget);
+        visible.extend_from_slice(&self.warm);
+        while visible.len() - warm_len < budget {
+            let done = visible.len() - warm_len;
+            let q = batch.max(1).min(budget - done);
+            let mut round = obs::span("proposal_batch").with("idx", done).with("q", q);
             let cfgs = {
                 let _propose = obs::span("propose_batch");
                 reg.histogram("tuner.propose_batch_s").time(|| {
@@ -483,7 +486,7 @@ impl TuningSession {
                 reg.counter("tuner.failed_evaluations").add(failed as u64);
             }
             round.record("ok", (observed.len() - failed) as f64);
-            history.extend(observed);
+            visible.extend(observed);
             if self.resilient && round_failures > self.policy.round_failure_budget {
                 report.budget_exhausted = true;
                 reg.counter("session.budget_exhausted").inc();
@@ -495,6 +498,7 @@ impl TuningSession {
             }
         }
         report.quarantined = executor.quarantined_count();
+        let history = visible.split_off(warm_len);
         let best = best_observation(&history).cloned();
         if let Some(b) = &best {
             obs::instant(

@@ -65,14 +65,14 @@ impl Tuner for RegressionTreeTuner {
         let (x, y) = encode_history(space, history);
         let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);
         UniformSampler
-            .sample_n(space, self.candidates, rng)
+            .sample_points(space, self.candidates, rng)
             .into_iter()
             .map(|c| {
-                let pred = tree.predict(&space.encode(&c));
+                let pred = tree.predict(&space.encode_point(&c));
                 (c, pred)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
+            .map(|(c, _)| space.configuration(&c))
             .unwrap_or_else(|| space.default_configuration())
     }
 

@@ -24,6 +24,13 @@ cargo test --workspace -q
 echo "==> SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --test history_stress"
 SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --test history_stress
 
+# The golden `SeamlessTuner::tune` fingerprints must hold at any worker
+# count: BO acquisition scores its candidate pool on parallel chunks.
+for threads in 1 2; do
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test tune_fingerprints"
+  SEAMLESS_THREADS="${threads}" cargo test -q --test tune_fingerprints
+done
+
 # The chaos suite asserts seed-for-seed reproducible fault injection;
 # running it at several worker counts proves fault decisions key off the
 # global trial index, never the thread that happened to run the trial.
