@@ -43,7 +43,7 @@ fn mean_best(make: impl Fn() -> Box<BayesOpt>, job_seed: u64) -> f64 {
             &SimEnvironment::dedicated(job_seed + rep),
         );
         let mut session = TuningSession::with_tuner(make(), 100 + rep);
-        total += session.run(&mut obj, BUDGET).best_runtime_s();
+        total += session.run(&mut obj, BUDGET, 1).best_runtime_s();
     }
     total / REPEATS as f64
 }
@@ -145,7 +145,7 @@ fn main() {
                     &SimEnvironment::dedicated(70 + rep),
                 );
                 let mut session = TuningSession::new(kind, 200 + rep);
-                total += session.run(&mut obj, 14).best_runtime_s();
+                total += session.run(&mut obj, 14, 1).best_runtime_s();
             }
             per_kind.push(total / REPEATS as f64);
             json.push(AblationRow {

@@ -62,7 +62,7 @@ fn main() {
         let mut obj =
             DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(51));
         let mut session = TuningSession::new(kind, 4321);
-        let outcome = session.run(&mut obj, budget);
+        let outcome = session.run(&mut obj, budget, 1);
         let tuned_cost = outcome
             .best
             .as_ref()

@@ -57,7 +57,7 @@ fn main() {
                     &SimEnvironment::dedicated(1000 + rep),
                 );
                 let mut session = TuningSession::new(kind, 777 + rep);
-                let outcome = session.run(&mut obj, BUDGET);
+                let outcome = session.run(&mut obj, BUDGET, 1);
                 for (i, b) in best_so_far(&outcome.history).iter().enumerate() {
                     mean_curve[i] += b / REPEATS as f64;
                 }

@@ -44,7 +44,7 @@ fn main() {
             &SimEnvironment::dedicated(7),
         );
         let mut session = TuningSession::new(TunerKind::Lhs, 7);
-        let history = session.run(&mut objective, 60).history;
+        let history = session.run(&mut objective, 60, 1).history;
 
         let additive = additive_effects(&space, &history);
         let mut rng = StdRng::seed_from_u64(11);

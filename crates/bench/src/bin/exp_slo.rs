@@ -99,7 +99,7 @@ fn main() {
             DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(61));
         let mut session = TuningSession::new(TunerKind::BayesOpt, 616);
         let bo_best = session
-            .run(&mut obj, 60)
+            .run(&mut obj, 60, 1)
             .best_config()
             .map(|c| refined(&job, c))
             .unwrap_or(f64::INFINITY);
@@ -135,7 +135,7 @@ fn main() {
             );
             let mut session = TuningSession::new(TunerKind::BayesOpt, 6260 + rep);
             let best = session
-                .run(&mut obj, ISOLATED_BUDGET)
+                .run(&mut obj, ISOLATED_BUDGET, 1)
                 .best_config()
                 .map(|c| refined(&job, c))
                 .unwrap_or(f64::INFINITY);

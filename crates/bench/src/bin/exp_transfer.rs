@@ -36,7 +36,7 @@ fn donor_history(seed: u64) -> Vec<Observation> {
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::BayesOpt, seed);
-    session.run(&mut obj, 30).history
+    session.run(&mut obj, 30, 1).history
 }
 
 /// A "donation" from a totally different workload (scan-bound, whose
@@ -49,7 +49,7 @@ fn dissimilar_history(seed: u64) -> Vec<Observation> {
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::BayesOpt, seed);
-    session.run(&mut obj, 30).history
+    session.run(&mut obj, 30, 1).history
 }
 
 fn mean_curve(settings: &str, donor: Option<Vec<Observation>>) -> Vec<f64> {
@@ -68,7 +68,7 @@ fn mean_curve(settings: &str, donor: Option<Vec<Observation>>) -> Vec<f64> {
                 40 + rep,
             ),
         };
-        let outcome = session.run(&mut obj, BUDGET);
+        let outcome = session.run(&mut obj, BUDGET, 1);
         for (i, b) in best_so_far(&outcome.history).iter().enumerate() {
             mean[i] += b / REPEATS as f64;
         }

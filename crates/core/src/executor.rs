@@ -4,8 +4,8 @@
 //! provider amortizes tuning across tenants, and production tuners
 //! overlap trial evaluations instead of running them strictly one at a
 //! time. [`TrialExecutor`] evaluates a batch of proposed configurations
-//! over the `models::par` fork/join pool against a [`BatchObjective`]
-//! (the `Sync` evaluation path of [`crate::Objective`]).
+//! over the `models::par` fork/join pool through
+//! [`Objective::evaluate_trial`], the `&self` evaluation path.
 //!
 //! Determinism contract: each trial's outcome is a pure function of
 //! `(config, trial_seed)`, and the trial seed depends only on the
@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use simcluster::FailureKind;
 
 use crate::faults::{unit_draw, FaultInjector, FaultKind};
-use crate::objective::{BatchObjective, Observation, FAILURE_PENALTY_S};
+use crate::objective::{Objective, Observation, FAILURE_PENALTY_S};
 
 /// Derives a well-mixed per-trial seed from the executor base seed and
 /// the global trial index (SplitMix64 finalizer — consecutive indices
@@ -315,7 +315,7 @@ fn quarantine_key(config: &Configuration) -> String {
 /// schedule, injecting faults from `injector`, catching panics and
 /// rejecting poisoned observations. Pure in `(config, base_seed,
 /// trial_index, policy, injector)` — safe to run on any worker thread.
-fn execute_trial<O: BatchObjective + ?Sized>(
+fn execute_trial<O: Objective + ?Sized>(
     objective: &O,
     policy: &RetryPolicy,
     injector: &FaultInjector,
@@ -463,7 +463,7 @@ impl TrialExecutor {
     /// neighbours). Strike counts update once per round — quarantine is
     /// round-granular, so outcomes for *distinct* configurations remain
     /// invariant to batch partitioning.
-    pub fn run_trials<O: BatchObjective + ?Sized>(
+    pub fn run_trials<O: Objective + ?Sized>(
         &mut self,
         objective: &O,
         configs: &[Configuration],
@@ -541,7 +541,7 @@ impl TrialExecutor {
     /// timed-out trials collapse to censored penalty observations; with
     /// the default policy and no injector every trial succeeds on
     /// attempt 0 and this is exactly the plain evaluation path.
-    pub fn run_batch<O: BatchObjective + ?Sized>(
+    pub fn run_batch<O: Objective + ?Sized>(
         &mut self,
         objective: &O,
         configs: &[Configuration],

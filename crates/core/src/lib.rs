@@ -51,8 +51,8 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use goal::{GoalObjective, TuningGoal};
 pub use history::{ExecutionRecord, HistoryCursor, HistoryStore, RecordOutcome};
 pub use objective::{
-    BatchObjective, CloudObjective, DiscObjective, JointObjective, Objective, Observation,
-    SimEnvironment, FAILURE_PENALTY_S,
+    CloudObjective, DiscObjective, JointObjective, Objective, Observation, SimEnvironment,
+    FAILURE_PENALTY_S,
 };
 pub use retune::{RetuneMonitor, RetunePolicy};
 pub use sensitivity::{additive_effects, permutation_importance, SensitivityReport};

@@ -100,31 +100,30 @@ impl Observation {
 }
 
 /// A black-box tuning objective.
-pub trait Objective {
+///
+/// Two evaluation paths. [`Objective::evaluate`] advances the
+/// objective's own RNG stream — the sequential loop's semantics.
+/// [`Objective::evaluate_trial`] derives all of a trial's randomness
+/// from the explicit `trial_seed` and runs from `&self`, so batched
+/// rounds can run any number of trials concurrently: a trial's outcome
+/// is a pure function of `(configuration, trial_seed)`, and neither the
+/// batch size, the worker count, nor the completion order of its
+/// neighbours can change what it observes.
+pub trait Objective: Sync {
     /// The configuration space being tuned.
     fn space(&self) -> &ParamSpace;
 
-    /// Runs one execution under `config` and returns the observation.
+    /// Runs one execution under `config` on the objective's own RNG
+    /// stream and returns the observation.
     fn evaluate(&mut self, config: &Configuration) -> Observation;
+
+    /// Runs one execution under `config`, seeded by `trial_seed` alone.
+    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation;
 
     /// A short description for reports.
     fn describe(&self) -> String {
         "objective".to_owned()
     }
-}
-
-/// The thread-safe evaluation path batched trial execution needs: an
-/// objective that can run any number of trials concurrently from `&self`.
-///
-/// Where [`Objective::evaluate`] advances one mutable RNG stream (the
-/// sequential loop's semantics), `evaluate_trial` derives all of a
-/// trial's randomness from the explicit `trial_seed` — so a trial's
-/// outcome is a pure function of `(configuration, trial_seed)` and
-/// neither the batch size, the worker count, nor the completion order
-/// of its neighbours can change what it observes.
-pub trait BatchObjective: Objective + Sync {
-    /// Runs one execution under `config`, seeded by `trial_seed` alone.
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation;
 }
 
 /// The simulated environment shared by the concrete objectives.
@@ -199,6 +198,12 @@ impl DiscObjective {
     pub fn job(&self) -> &JobSpec {
         &self.job
     }
+
+    /// One trial on `rng`: the body both evaluation paths share.
+    fn trial(&self, config: &Configuration, rng: &mut StdRng) -> Observation {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        observe(&self.sim, &self.cluster, config, config, &self.job, rng)
+    }
 }
 
 /// Runs one simulation, translating failures into penalty observations.
@@ -246,15 +251,14 @@ impl Objective for DiscObjective {
     }
 
     fn evaluate(&mut self, config: &Configuration) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        observe(
-            &self.sim,
-            &self.cluster,
-            config,
-            config,
-            &self.job,
-            &mut self.rng,
-        )
+        let mut rng = self.rng.clone();
+        let observed = self.trial(config, &mut rng);
+        self.rng = rng;
+        observed
+    }
+
+    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
+        self.trial(config, &mut StdRng::seed_from_u64(trial_seed))
     }
 
     fn describe(&self) -> String {
@@ -262,18 +266,17 @@ impl Objective for DiscObjective {
     }
 }
 
-impl BatchObjective for DiscObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let mut rng = StdRng::seed_from_u64(trial_seed);
-        observe(
-            &self.sim,
-            &self.cluster,
-            config,
-            config,
-            &self.job,
-            &mut rng,
-        )
+/// The launch-failure observation for a cloud configuration that names
+/// no known instance type.
+fn unknown_instance(config: &Configuration) -> Observation {
+    Observation {
+        config: config.clone(),
+        runtime_s: FAILURE_PENALTY_S,
+        cost_usd: 0.0,
+        metrics: None,
+        failure: Some(FailureKind::LaunchFailure {
+            reason: "unknown instance type".to_owned(),
+        }),
     }
 }
 
@@ -307,16 +310,19 @@ impl CloudObjective {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// The launch-failure observation for an unresolvable cloud config.
-    fn unknown_instance(config: &Configuration) -> Observation {
-        Observation {
-            config: config.clone(),
-            runtime_s: FAILURE_PENALTY_S,
-            cost_usd: 0.0,
-            metrics: None,
-            failure: Some(FailureKind::LaunchFailure {
-                reason: "unknown instance type".to_owned(),
-            }),
+    /// One trial on `rng`: the body both evaluation paths share.
+    fn trial(&self, config: &Configuration, rng: &mut StdRng) -> Observation {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        match ClusterSpec::from_config(config) {
+            Ok(cluster) => observe(
+                &self.sim,
+                &cluster,
+                config,
+                &self.disc_config,
+                &self.job,
+                rng,
+            ),
+            Err(_) => unknown_instance(config),
         }
     }
 }
@@ -327,42 +333,18 @@ impl Objective for CloudObjective {
     }
 
     fn evaluate(&mut self, config: &Configuration) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        observe(
-            &self.sim,
-            &cluster,
-            config,
-            &self.disc_config,
-            &self.job,
-            &mut self.rng,
-        )
+        let mut rng = self.rng.clone();
+        let observed = self.trial(config, &mut rng);
+        self.rng = rng;
+        observed
+    }
+
+    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
+        self.trial(config, &mut StdRng::seed_from_u64(trial_seed))
     }
 
     fn describe(&self) -> String {
         format!("cloud tuning of {}", self.job.name)
-    }
-}
-
-impl BatchObjective for CloudObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        let mut rng = StdRng::seed_from_u64(trial_seed);
-        observe(
-            &self.sim,
-            &cluster,
-            config,
-            &self.disc_config,
-            &self.job,
-            &mut rng,
-        )
     }
 }
 
@@ -394,16 +376,12 @@ impl JointObjective {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// The launch-failure observation for an unresolvable joint config.
-    fn unknown_instance(config: &Configuration) -> Observation {
-        Observation {
-            config: config.clone(),
-            runtime_s: FAILURE_PENALTY_S,
-            cost_usd: 0.0,
-            metrics: None,
-            failure: Some(FailureKind::LaunchFailure {
-                reason: "unknown instance type".to_owned(),
-            }),
+    /// One trial on `rng`: the body both evaluation paths share.
+    fn trial(&self, config: &Configuration, rng: &mut StdRng) -> Observation {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        match ClusterSpec::from_config(config) {
+            Ok(cluster) => observe(&self.sim, &cluster, config, config, &self.job, rng),
+            Err(_) => unknown_instance(config),
         }
     }
 }
@@ -414,35 +392,18 @@ impl Objective for JointObjective {
     }
 
     fn evaluate(&mut self, config: &Configuration) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        observe(
-            &self.sim,
-            &cluster,
-            config,
-            config,
-            &self.job,
-            &mut self.rng,
-        )
+        let mut rng = self.rng.clone();
+        let observed = self.trial(config, &mut rng);
+        self.rng = rng;
+        observed
+    }
+
+    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
+        self.trial(config, &mut StdRng::seed_from_u64(trial_seed))
     }
 
     fn describe(&self) -> String {
         format!("joint cloud+DISC tuning of {}", self.job.name)
-    }
-}
-
-impl BatchObjective for JointObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        let mut rng = StdRng::seed_from_u64(trial_seed);
-        observe(&self.sim, &cluster, config, config, &self.job, &mut rng)
     }
 }
 

@@ -257,7 +257,7 @@ impl SeamlessTuner {
                 self.config.injector(seed ^ 0xFA51),
             );
         }
-        let s1 = stage1.run_batched(&mut cloud_obj, self.config.stage1_budget, self.config.batch);
+        let s1 = stage1.run(&mut cloud_obj, self.config.stage1_budget, self.config.batch);
         let cloud_config = s1
             .best_config()
             .cloned()
@@ -333,7 +333,7 @@ impl SeamlessTuner {
                 self.config.injector(seed ^ 0xFA52),
             );
         }
-        let mut s2 = stage2.run_batched(
+        let mut s2 = stage2.run(
             &mut disc_obj,
             self.config.stage2_budget.saturating_sub(1),
             self.config.batch,
@@ -521,15 +521,13 @@ impl ManagedWorkload {
             obs::registry().counter("service.retunes").inc();
             let mut session =
                 TuningSession::new(self.service.tuner, self.seed ^ (self.runs as u64) << 8);
-            let outcome = if self.service.is_resilient() {
+            if self.service.is_resilient() {
                 session.with_resilience(
                     self.service.effective_retry(),
                     self.service.injector(self.seed ^ 0x4E7),
                 );
-                session.run_batched(&mut self.objective, self.service.retune_budget, 1)
-            } else {
-                session.run(&mut self.objective, self.service.retune_budget)
-            };
+            }
+            let outcome = session.run(&mut self.objective, self.service.retune_budget, 1);
             tuning_spent = outcome.history.len();
             if let Some(best) = outcome.best_config() {
                 // Only adopt the re-tuned configuration if it beats the

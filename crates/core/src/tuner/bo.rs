@@ -92,9 +92,8 @@ impl BayesOpt {
         }
     }
 
-    /// Fits the GP surrogate on the (subsampled) history, with the
-    /// obs wiring shared by [`Tuner::propose`] and
-    /// [`Tuner::propose_batch`].
+    /// Fits the GP surrogate on the (subsampled) history, recording
+    /// the fit's span, latency and cache hit or miss.
     fn fit_surrogate(
         &mut self,
         space: &ParamSpace,
@@ -189,55 +188,16 @@ impl Tuner for BayesOpt {
         history: &[Observation],
         rng: &mut dyn RngCore,
     ) -> Configuration {
-        // Warm-up: a stratified initial design. Censored observations
-        // don't count — the surrogate needs real measurements to fit.
-        let survivors = history.iter().filter(|o| !o.is_censored()).count();
-        if survivors < self.init_samples {
-            if self.pending_init.is_empty() {
-                self.pending_init = LatinHypercube.sample_n(space, self.init_samples, rng);
-            }
-            if let Some(c) = self.pending_init.pop() {
-                return c;
-            }
-        }
-
-        let gp = self.fit_surrogate(space, history);
-        let reg = obs::registry();
-
-        let best_ln = best_observation(history)
-            .map(|o| o.runtime_s.max(1e-3).ln())
-            .unwrap_or(f64::INFINITY);
-
-        let (cands, encoded) = self.candidate_pool(space, history, rng);
-        let censored = encode_censored(space, history);
-
-        let _acq = obs::span("acquisition").with("candidates", cands.len());
-        reg.histogram("bo.acquisition_s").time(|| {
-            // Score candidates in parallel chunks; each chunk's batched
-            // prediction reuses one set of scratch buffers. Scores come
-            // back in candidate order, so the arg-max (last maximum on
-            // ties, matching the sequential scan) is thread-count
-            // independent.
-            let mut scores = models::par::par_chunks(&encoded, EI_CHUNK, |chunk| {
-                gp.predict_batch(chunk)
-                    .into_iter()
-                    .map(|(m, s)| expected_improvement(m, s, best_ln))
-                    .collect()
-            });
-            penalize_censored(&mut scores, &encoded, &censored);
-            scores
-                .into_iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(i, _)| space.configuration(&cands[i]))
-                .unwrap_or_else(|| UniformSampler.sample(space, rng))
-        })
+        self.propose_batch(space, history, 1, rng)
+            .pop()
+            .expect("a batch of one holds one proposal")
     }
 
     /// Native q-EI via local penalization (González et al.): one GP
     /// fit and one acquisition scan yield the whole batch — EI around
     /// each chosen point is damped so the batch spreads out instead of
-    /// clustering on the same optimum.
+    /// clustering on the same optimum. A single proposal is the first
+    /// pick of this scan.
     fn propose_batch(
         &mut self,
         space: &ParamSpace,
@@ -245,13 +205,20 @@ impl Tuner for BayesOpt {
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        if q <= 1 {
-            return vec![self.propose(space, history, rng)];
-        }
-        // Warm-up rounds drain the stratified init design directly.
+        let q = q.max(1);
+        // Warm-up: a stratified initial design, one draw per batch
+        // member. Censored observations don't count — the surrogate
+        // needs real measurements to fit.
         let survivors = history.iter().filter(|o| !o.is_censored()).count();
         if survivors < self.init_samples {
-            return (0..q).map(|_| self.propose(space, history, rng)).collect();
+            return (0..q)
+                .map(|_| {
+                    if self.pending_init.is_empty() {
+                        self.pending_init = LatinHypercube.sample_n(space, self.init_samples, rng);
+                    }
+                    self.pending_init.pop().expect("a non-empty initial design")
+                })
+                .collect();
         }
 
         let gp = self.fit_surrogate(space, history);
@@ -262,10 +229,13 @@ impl Tuner for BayesOpt {
         let (cands, encoded) = self.candidate_pool(space, history, rng);
         let censored = encode_censored(space, history);
 
-        let _acq = obs::span("acquisition")
-            .with("candidates", cands.len())
-            .with("q", q);
+        let acq = obs::span("acquisition").with("candidates", cands.len());
+        let _acq = if q > 1 { acq.with("q", q) } else { acq };
         reg.histogram("bo.acquisition_s").time(|| {
+            // Score candidates in parallel chunks; each chunk's batched
+            // prediction reuses one set of scratch buffers. Scores come
+            // back in candidate order, so every pick (last maximum on
+            // ties) is thread-count independent.
             let mut scores = models::par::par_chunks(&encoded, EI_CHUNK, |chunk| {
                 gp.predict_batch(chunk)
                     .into_iter()
@@ -275,7 +245,7 @@ impl Tuner for BayesOpt {
             penalize_censored(&mut scores, &encoded, &censored);
             let mut taken = vec![false; scores.len()];
             let mut out: Vec<Configuration> = Vec::with_capacity(q);
-            for _ in 0..q.min(scores.len()) {
+            for pick in 0..q.min(scores.len()) {
                 let Some(i) = (0..scores.len())
                     .filter(|&i| !taken[i])
                     .max_by(|&a, &b| scores[a].total_cmp(&scores[b]))
@@ -284,6 +254,9 @@ impl Tuner for BayesOpt {
                 };
                 taken[i] = true;
                 out.push(space.configuration(&cands[i]));
+                if pick + 1 == q {
+                    break; // no later pick reads the penalized scores
+                }
                 for j in 0..scores.len() {
                     if taken[j] {
                         continue;
@@ -296,8 +269,8 @@ impl Tuner for BayesOpt {
                     scores[j] *= 1.0 - (-d2 / (2.0 * PENALTY_BANDWIDTH_SQ)).exp();
                 }
             }
-            // Degenerate pools (q > candidates) top up with uniform
-            // exploration rather than duplicating picks.
+            // Short pools (q > candidates, or none at all) top up with
+            // uniform exploration rather than duplicating picks.
             while out.len() < q {
                 out.push(UniformSampler.sample(space, rng));
             }

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::executor::{DegradationReport, RetryPolicy, TrialOutcome};
 use crate::faults::FaultInjector;
-use crate::objective::{BatchObjective, Objective, Observation};
+use crate::objective::{Objective, Observation};
 
 pub use additive_bo::AdditiveBayesOpt;
 pub use bestconfig::BestConfig;
@@ -52,9 +52,10 @@ pub use rtree::RegressionTreeTuner;
 
 /// A sequential configuration-tuning strategy.
 ///
-/// The tuning loop alternates `propose` → `Objective::evaluate`; the
-/// full history (in evaluation order) is passed back on each call, so
-/// strategies may be implemented statelessly or keep internal state.
+/// The session loop ([`TuningSession::run`]) alternates
+/// [`Tuner::propose_batch`] → evaluation; the full history (in
+/// evaluation order) is passed back on each call, so strategies may be
+/// implemented statelessly or keep internal state.
 pub trait Tuner {
     /// The strategy's display name.
     fn name(&self) -> &str;
@@ -373,100 +374,66 @@ impl TuningSession {
         self
     }
 
-    /// Runs `budget` evaluations against `objective`.
-    pub fn run(&mut self, objective: &mut dyn Objective, budget: usize) -> TuningOutcome {
-        let _session = obs::span("tuning_session")
-            .with("tuner", self.tuner.name())
-            .with("budget", budget);
-        let reg = obs::registry();
-        // The strategy sees the warm-start prefix followed by this
-        // session's observations; the outcome reports only the latter.
-        let warm_len = self.warm.len();
-        let mut visible = Vec::with_capacity(warm_len + budget);
-        visible.extend_from_slice(&self.warm);
-        for i in 0..budget {
-            let mut proposal = obs::span("proposal").with("idx", i);
-            let cfg = {
-                let _propose = obs::span("propose");
-                reg.histogram("tuner.propose_s").time(|| {
-                    self.tuner
-                        .propose(objective.space(), &visible, &mut self.rng)
-                })
-            };
-            let observed = {
-                let _evaluate = obs::span("evaluate");
-                reg.histogram("objective.evaluate_s")
-                    .time(|| objective.evaluate(&cfg))
-            };
-            reg.counter("tuner.evaluations").inc();
-            if observed.failure.is_some() {
-                reg.counter("tuner.failed_evaluations").inc();
-            }
-            proposal.record("runtime_s", observed.runtime_s);
-            proposal.record("ok", observed.is_ok());
-            visible.push(observed);
-        }
-        let history = visible.split_off(warm_len);
-        let best = best_observation(&history).cloned();
-        if let Some(b) = &best {
-            obs::instant(
-                "session_best",
-                obs::fields![("tuner", self.tuner.name()), ("runtime_s", b.runtime_s)],
-            );
-        }
-        TuningOutcome {
-            history,
-            best,
-            degradation: None,
-        }
-    }
-
     /// Runs `budget` evaluations against `objective`, proposing and
-    /// evaluating `batch` trials at a time on a [`TrialExecutor`].
+    /// evaluating up to `batch` trials per round.
     ///
-    /// For a non-resilient session, `batch == 1` takes the exact
-    /// sequential [`TuningSession::run`] code path — same proposals,
-    /// same observations, bit for bit. For larger batches, proposals
-    /// come from [`Tuner::propose_batch`] and evaluations fan out over
-    /// the executor's worker pool with deterministic per-trial seeding,
-    /// so neither the batch size nor the thread count changes what any
-    /// individual trial observes.
+    /// Every round proposes through [`Tuner::propose_batch`]. At
+    /// `batch == 1` a non-resilient session evaluates each trial on the
+    /// objective's own RNG stream ([`Objective::evaluate`]) — the
+    /// sequential propose → evaluate loop. Otherwise every round fans
+    /// out over a [`TrialExecutor`] with deterministic per-trial seeding
+    /// ([`Objective::evaluate_trial`]), so neither the batch size nor
+    /// the thread count changes what any individual trial observes.
     ///
     /// A resilient session ([`TuningSession::with_resilience`]) always
-    /// runs on the executor: failed/timed-out trials enter the history
-    /// as censored observations, quarantined configs stop burning
-    /// budget, and a round whose failures exceed the policy's budget
-    /// ends the session early with a partial outcome whose
-    /// [`DegradationReport`] says so.
+    /// runs on the executor, whatever the batch size: failed/timed-out
+    /// trials enter the history as censored observations, quarantined
+    /// configs stop burning budget, and a round whose failures exceed
+    /// the policy's budget ends the session early with a partial
+    /// outcome whose [`DegradationReport`] says so.
     ///
     /// [`TrialExecutor`]: crate::executor::TrialExecutor
-    pub fn run_batched<O: BatchObjective>(
+    pub fn run<O: Objective + ?Sized>(
         &mut self,
         objective: &mut O,
         budget: usize,
         batch: usize,
     ) -> TuningOutcome {
-        if batch <= 1 && !self.resilient {
-            return self.run(objective, budget);
-        }
-        let _session = obs::span("tuning_session")
+        let batch = batch.max(1);
+        // Span and histogram names tell the two evaluation paths apart.
+        let sequential = batch == 1 && !self.resilient;
+        let (round_name, propose_name, propose_hist) = if sequential {
+            ("proposal", "propose", "tuner.propose_s")
+        } else {
+            ("proposal_batch", "propose_batch", "tuner.propose_batch_s")
+        };
+        let session = obs::span("tuning_session")
             .with("tuner", self.tuner.name())
-            .with("budget", budget)
-            .with("batch", batch);
+            .with("budget", budget);
+        let _session = if sequential {
+            session
+        } else {
+            session.with("batch", batch)
+        };
         let reg = obs::registry();
         let mut executor = crate::executor::TrialExecutor::new(self.seed ^ 0xE0E0_7A17)
             .with_resilience(self.policy, self.injector);
         let mut report = DegradationReport::default();
+        // The strategy sees the warm-start prefix followed by this
+        // session's observations; the outcome reports only the latter.
         let warm_len = self.warm.len();
         let mut visible = Vec::with_capacity(warm_len + budget);
         visible.extend_from_slice(&self.warm);
         while visible.len() - warm_len < budget {
             let done = visible.len() - warm_len;
-            let q = batch.max(1).min(budget - done);
-            let mut round = obs::span("proposal_batch").with("idx", done).with("q", q);
+            let q = batch.min(budget - done);
+            let mut round = obs::span(round_name).with("idx", done);
+            if !sequential {
+                round = round.with("q", q);
+            }
             let cfgs = {
-                let _propose = obs::span("propose_batch");
-                reg.histogram("tuner.propose_batch_s").time(|| {
+                let _propose = obs::span(propose_name);
+                reg.histogram(propose_hist).time(|| {
                     self.tuner
                         .propose_batch(objective.space(), &visible, q, &mut self.rng)
                 })
@@ -474,18 +441,31 @@ impl TuningSession {
             if cfgs.is_empty() {
                 break; // defensive: a strategy with nothing left to propose
             }
-            let outcomes = executor.run_trials(&*objective, &cfgs);
-            let round_failures = report.absorb_round(&outcomes);
-            let observed: Vec<Observation> = outcomes
-                .into_iter()
-                .map(TrialOutcome::into_observation)
-                .collect();
+            let mut round_failures = 0;
+            let observed: Vec<Observation> = if sequential {
+                let _evaluate = obs::span("evaluate");
+                let observed = reg
+                    .histogram("objective.evaluate_s")
+                    .time(|| objective.evaluate(&cfgs[0]));
+                round.record("runtime_s", observed.runtime_s);
+                round.record("ok", observed.is_ok());
+                vec![observed]
+            } else {
+                let outcomes = executor.run_trials(&*objective, &cfgs);
+                round_failures = report.absorb_round(&outcomes);
+                outcomes
+                    .into_iter()
+                    .map(TrialOutcome::into_observation)
+                    .collect()
+            };
             reg.counter("tuner.evaluations").add(observed.len() as u64);
             let failed = observed.iter().filter(|o| !o.is_ok()).count();
             if failed > 0 {
                 reg.counter("tuner.failed_evaluations").add(failed as u64);
             }
-            round.record("ok", (observed.len() - failed) as f64);
+            if !sequential {
+                round.record("ok", (observed.len() - failed) as f64);
+            }
             visible.extend(observed);
             if self.resilient && round_failures > self.policy.round_failure_budget {
                 report.budget_exhausted = true;

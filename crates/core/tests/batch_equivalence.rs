@@ -1,7 +1,7 @@
-//! The batch-execution equivalence contract: batch size 1 must
-//! reproduce the strictly sequential propose→evaluate loop *bitwise*,
-//! for every strategy — batching is a performance feature, never a
-//! behavioural one. Larger batches must stay valid and deterministic,
+//! The batch-execution equivalence contract: the session loop at batch
+//! size 1 must reproduce the strictly sequential propose→evaluate loop
+//! *bitwise*, for every strategy — batching is a performance feature,
+//! never a behavioural one. Larger batches must stay valid and deterministic,
 //! and the multi-tenant `tune_many` must match sequential `tune` calls
 //! whenever tenants cannot observe each other (transfer disabled).
 
@@ -10,11 +10,12 @@ use std::sync::Arc;
 use confspace::{Configuration, ParamDef, ParamSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seamless_core::objective::{BatchObjective, DiscObjective, Objective, SimEnvironment};
+use seamless_core::objective::{DiscObjective, Objective, SimEnvironment};
 use seamless_core::service::TenantRequest;
 use seamless_core::tuner::{TunerKind, TuningSession};
 use seamless_core::{
-    HistoryStore, Observation, SeamlessTuner, ServiceConfig, TrialExecutor, TrialOutcome,
+    FaultInjector, FaultPlan, HistoryStore, Observation, RetryPolicy, SeamlessTuner, ServiceConfig,
+    TrialExecutor, TrialOutcome,
 };
 use simcluster::ClusterSpec;
 use workloads::{DataScale, Wordcount, Workload};
@@ -106,23 +107,30 @@ fn disc_objective(seed: u64) -> DiscObjective {
 }
 
 #[test]
-fn run_batched_at_batch_1_is_bitwise_identical_to_run() {
+fn run_at_batch_1_is_bitwise_identical_to_the_propose_evaluate_loop() {
     for kind in TunerKind::all() {
-        let mut seq_session = TuningSession::new(kind, 31);
-        let mut seq_obj = disc_objective(7);
-        let seq = seq_session.run(&mut seq_obj, 6);
+        // Reference: the bare sequential loop on the session's seed.
+        let mut tuner = kind.build();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut ref_obj = disc_objective(7);
+        let mut reference: Vec<Observation> = Vec::new();
+        for _ in 0..6 {
+            let cfg = tuner.propose(ref_obj.space(), &reference, &mut rng);
+            reference.push(ref_obj.evaluate(&cfg));
+        }
 
-        let mut batch_session = TuningSession::new(kind, 31);
-        let mut batch_obj = disc_objective(7);
-        let bat = batch_session.run_batched(&mut batch_obj, 6, 1);
+        let mut session = TuningSession::new(kind, 31);
+        let mut obj = disc_objective(7);
+        let out = session.run(&mut obj, 6, 1);
 
+        assert!(out.degradation.is_none(), "{}: plain session", kind.label());
         assert_eq!(
-            seq.history.len(),
-            bat.history.len(),
+            reference.len(),
+            out.history.len(),
             "{}: history length",
             kind.label()
         );
-        for (i, (a, b)) in seq.history.iter().zip(&bat.history).enumerate() {
+        for (i, (a, b)) in reference.iter().zip(&out.history).enumerate() {
             assert_eq!(a.config, b.config, "{}: config {i}", kind.label());
             assert_eq!(
                 a.runtime_s.to_bits(),
@@ -141,12 +149,35 @@ fn run_batched_at_batch_1_is_bitwise_identical_to_run() {
 }
 
 #[test]
-fn run_batched_larger_batches_are_deterministic_and_fill_the_budget() {
+fn resilient_session_at_batch_1_keeps_its_retry_policy_and_injector() {
+    let mut session = TuningSession::new(TunerKind::Random, 5);
+    session.with_resilience(
+        RetryPolicy::default(),
+        FaultInjector::new(9, FaultPlan::errors(1.0)),
+    );
+    let mut obj = disc_objective(3);
+    let out = session.run(&mut obj, 4, 1);
+
+    let d = out
+        .degradation
+        .expect("a resilient session reports degradation at batch 1");
+    assert_eq!(d.failed, 4, "every attempt of every trial was injected");
+    assert!(out.is_degraded());
+    assert_eq!(out.history.len(), 4);
+    assert!(
+        out.history.iter().all(Observation::is_censored),
+        "injected failures enter the history censored"
+    );
+    assert_eq!(obj.evaluations(), 0, "no trial reached the objective");
+}
+
+#[test]
+fn larger_batches_are_deterministic_and_fill_the_budget() {
     for batch in [2usize, 4, 8] {
         let run = || {
             let mut session = TuningSession::new(TunerKind::BayesOpt, 43);
             let mut obj = disc_objective(11);
-            session.run_batched(&mut obj, 12, batch)
+            session.run(&mut obj, 12, batch)
         };
         let a = run();
         let b = run();
@@ -177,9 +208,7 @@ impl Objective for FaultyObjective {
     fn evaluate(&mut self, config: &Configuration) -> Observation {
         self.evaluate_trial(config, 0)
     }
-}
 
-impl BatchObjective for FaultyObjective {
     fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
         let a = config.int("a");
         assert!(a <= 90, "substrate crash on a > 90");

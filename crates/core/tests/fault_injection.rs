@@ -36,7 +36,7 @@ fn chaos_session(chaos_seed: u64) -> TuningOutcome {
         FaultInjector::new(chaos_seed, FaultPlan::chaos()),
     );
     let mut obj = disc_objective(4);
-    session.run_batched(&mut obj, 20, 4)
+    session.run(&mut obj, 20, 4)
 }
 
 /// The headline scenario: the default chaos mix (10% errors, 2% hangs,
@@ -94,12 +94,12 @@ fn zero_fault_injector_is_bitwise_identical_to_no_injector() {
     for batch in [2usize, 4] {
         let mut plain_session = TuningSession::new(TunerKind::BayesOpt, 77);
         let mut plain_obj = disc_objective(9);
-        let plain = plain_session.run_batched(&mut plain_obj, 12, batch);
+        let plain = plain_session.run(&mut plain_obj, 12, batch);
 
         let mut noop_session = TuningSession::new(TunerKind::BayesOpt, 77);
         noop_session.with_resilience(RetryPolicy::default(), FaultInjector::none());
         let mut noop_obj = disc_objective(9);
-        let noop = noop_session.run_batched(&mut noop_obj, 12, batch);
+        let noop = noop_session.run(&mut noop_obj, 12, batch);
 
         assert_eq!(plain.history.len(), noop.history.len(), "batch {batch}");
         for (i, (x, y)) in plain.history.iter().zip(&noop.history).enumerate() {
@@ -136,7 +136,7 @@ fn failures_without_retries_still_converge_with_degradation_report() {
         FaultInjector::new(99, FaultPlan::errors(0.25)),
     );
     let mut obj = disc_objective(13);
-    let out = session.run_batched(&mut obj, 24, 4);
+    let out = session.run(&mut obj, 24, 4);
 
     let d = out.degradation.expect("degradation report");
     assert!(d.failed > 0, "the fault stream must have landed: {d:?}");
@@ -168,7 +168,7 @@ fn permanent_straggler_is_quarantined_and_session_survives() {
         FaultInjector::new(2, plan),
     );
     let mut obj = disc_objective(21);
-    let out = session.run_batched(&mut obj, 12, 4);
+    let out = session.run(&mut obj, 12, 4);
 
     let d = out.degradation.expect("degradation report");
     assert_eq!(d.timed_out, 1, "exactly trial #3 hangs: {d:?}");
@@ -196,7 +196,7 @@ fn exhausted_failure_budget_returns_partial_outcome() {
         FaultInjector::new(8, FaultPlan::errors(1.0)), // everything fails
     );
     let mut obj = disc_objective(17);
-    let out = session.run_batched(&mut obj, 40, 8);
+    let out = session.run(&mut obj, 40, 8);
 
     let d = out.degradation.expect("degradation report");
     assert!(d.budget_exhausted, "session must stop early: {d:?}");

@@ -1,7 +1,8 @@
 //! End-to-end observability: a default [`SeamlessTuner::tune`] run with
 //! a memory sink attached must produce a well-formed span tree (stage
-//! spans enclosing proposal spans), populate the latency histograms,
-//! and export a valid Chrome trace document.
+//! spans enclosing proposal spans, with the sequential and batched
+//! round names nested as the benchmark's layer map expects), populate
+//! the latency histograms, and export a valid Chrome trace document.
 //!
 //! Sinks and the metrics registry are process-global, so every test
 //! here serializes on one mutex and tears its sinks down before
@@ -19,9 +20,9 @@ fn global_obs_lock() -> &'static Mutex<()> {
     LOCK.get_or_init(|| Mutex::new(()))
 }
 
-/// Runs one small default-config tune with a memory sink installed and
-/// returns the captured events.
-fn traced_tune() -> Vec<Event> {
+/// Runs one small default-config tune, `batch` trials per session
+/// round, with a memory sink installed and returns the captured events.
+fn traced_tune(batch: usize) -> Vec<Event> {
     let sink = obs::MemorySink::new(100_000);
     obs::install(sink.clone());
     obs::registry().clear();
@@ -34,6 +35,7 @@ fn traced_tune() -> Vec<Event> {
             // Must exceed BayesOpt's 8-sample warm-up so stage 2
             // actually fits the surrogate (and records its histogram).
             stage2_budget: 12,
+            batch,
             ..ServiceConfig::default()
         },
     );
@@ -67,7 +69,7 @@ fn ancestor_names(events: &[Event], mut id: u64) -> Vec<String> {
 #[test]
 fn stage_spans_contain_proposal_spans() {
     let _guard = global_obs_lock().lock().unwrap_or_else(|e| e.into_inner());
-    let events = traced_tune();
+    let events = traced_tune(1);
     assert!(!events.is_empty(), "the tune run must emit events");
 
     let proposal_starts: Vec<&Event> = events
@@ -117,12 +119,55 @@ fn stage_spans_contain_proposal_spans() {
     assert!(ends
         .iter()
         .all(|e| e.field("dur_ns").and_then(|f| f.as_u64()).is_some()));
+
+    // Round span names follow the evaluation path; the benchmark's
+    // layer map reads them. Batch 1: sequential rounds on the
+    // objective's own stream.
+    assert_nested(&events, "tuning_session", "proposal");
+    assert_nested(&events, "proposal", "propose");
+    assert_nested(&events, "proposal", "evaluate");
+    for name in ["proposal_batch", "propose_batch"] {
+        assert_eq!(count_spans(&events, name), 0, "{name} at batch 1");
+    }
+    // Batch 4: executor rounds.
+    let events = traced_tune(4);
+    assert_nested(&events, "tuning_session", "proposal_batch");
+    assert_nested(&events, "proposal_batch", "propose_batch");
+    for name in ["proposal", "propose", "evaluate"] {
+        assert_eq!(count_spans(&events, name), 0, "{name} at batch 4");
+    }
+}
+
+/// Asserts that every span called `child` sits directly under a span
+/// called `parent`, and that at least one does.
+fn assert_nested(events: &[Event], parent: &str, child: &str) {
+    let mut seen = 0;
+    for e in events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanStart && e.name == child)
+    {
+        let chain = ancestor_names(events, e.span_id);
+        assert_eq!(
+            chain.get(1).map(String::as_str),
+            Some(parent),
+            "{child} must sit directly under {parent}: {chain:?}"
+        );
+        seen += 1;
+    }
+    assert!(seen > 0, "no {child} spans in the trace");
+}
+
+fn count_spans(events: &[Event], name: &str) -> usize {
+    events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanStart && e.name == name)
+        .count()
 }
 
 #[test]
 fn latency_histograms_are_populated() {
     let _guard = global_obs_lock().lock().unwrap_or_else(|e| e.into_inner());
-    let _ = traced_tune();
+    let _ = traced_tune(1);
     let snap = obs::registry().snapshot();
 
     for name in ["bo.surrogate_fit_s", "bo.acquisition_s", "sim.step_s"] {
@@ -140,7 +185,7 @@ fn latency_histograms_are_populated() {
 #[test]
 fn chrome_trace_export_is_valid() {
     let _guard = global_obs_lock().lock().unwrap_or_else(|e| e.into_inner());
-    let events = traced_tune();
+    let events = traced_tune(1);
     let doc = obs::chrome_trace(&events);
 
     let parsed = obs::json::parse(&doc).expect("chrome trace must be valid JSON");

@@ -17,7 +17,7 @@ fn small_outcome() -> TuningOutcome {
         Wordcount::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(3),
     );
-    TuningSession::new(TunerKind::Random, 5).run(&mut obj, 3)
+    TuningSession::new(TunerKind::Random, 5).run(&mut obj, 3, 1)
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn degraded_tuning_outcome_round_trips_through_json() {
         },
         FaultInjector::new(7, FaultPlan::errors(0.4)),
     );
-    let out = session.run_batched(&mut obj, 8, 4);
+    let out = session.run(&mut obj, 8, 4);
     assert!(out.degradation.is_some());
 
     let json = serde_json::to_string(&out).expect("serializes");

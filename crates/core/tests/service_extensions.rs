@@ -72,7 +72,7 @@ fn deadline_goal_finds_a_cluster_meeting_the_deadline() {
     );
     let mut obj = GoalObjective::new(inner, TuningGoal::Deadline { seconds: deadline });
     let mut session = TuningSession::new(TunerKind::BayesOpt, 45);
-    let outcome = session.run(&mut obj, 18);
+    let outcome = session.run(&mut obj, 18, 1);
     let best = outcome.best.expect("a feasible cluster exists");
     let true_runtime = best.metrics.expect("successful run").runtime_s;
     assert!(

@@ -151,7 +151,7 @@ fn chaos_session_with_recorder(seed: u64, dump_dir: &PathBuf) -> Vec<PathBuf> {
         },
         FaultInjector::new(seed, FaultPlan::errors(0.9)),
     );
-    let outcome = session.run_batched(&mut objective, 12, 4);
+    let outcome = session.run(&mut objective, 12, 4);
     let report = outcome.degradation.expect("resilient session reports");
     assert!(
         report.budget_exhausted,

@@ -26,7 +26,7 @@ fn main() {
         let mut objective =
             CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(3));
         let mut session = TuningSession::new(kind, 11);
-        let outcome = session.run(&mut objective, budget);
+        let outcome = session.run(&mut objective, budget, 1);
         let (cluster, cost) = outcome
             .best
             .as_ref()

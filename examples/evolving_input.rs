@@ -16,7 +16,7 @@ fn main() {
     let mut obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Ds1), &env);
     let mut session = TuningSession::new(TunerKind::BayesOpt, 9);
     let tuned_at_ds1 = session
-        .run(&mut obj, 20)
+        .run(&mut obj, 20, 1)
         .best_config()
         .cloned()
         .expect("DS1 tuning found a working configuration");

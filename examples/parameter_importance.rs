@@ -21,7 +21,7 @@ fn history_for(workload: &dyn Workload, seed: u64) -> Vec<Observation> {
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::Lhs, seed);
-    session.run(&mut objective, 60).history
+    session.run(&mut objective, 60, 1).history
 }
 
 fn main() {

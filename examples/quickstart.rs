@@ -19,12 +19,13 @@ fn main() {
         Some(f) => println!("default configuration: CRASHED ({f})"),
     }
 
-    // Three tuning strategies, 25 executions each.
+    // Three tuning strategies, 25 executions each, one per round
+    // (a larger batch evaluates whole rounds concurrently).
     for kind in [TunerKind::Random, TunerKind::HillClimb, TunerKind::BayesOpt] {
         let mut objective =
             DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(2));
         let mut session = TuningSession::new(kind, 42);
-        let outcome = session.run(&mut objective, 25);
+        let outcome = session.run(&mut objective, 25, 1);
         println!(
             "{kind:<12} best {:>8.1}s after {} executions (tuning spent ${:.2})",
             outcome.best_runtime_s(),
@@ -36,7 +37,7 @@ fn main() {
     // Inspect the winning configuration.
     let mut objective = DiscObjective::new(cluster, job, &SimEnvironment::dedicated(2));
     let mut session = TuningSession::new(TunerKind::BayesOpt, 42);
-    let outcome = session.run(&mut objective, 25);
+    let outcome = session.run(&mut objective, 25, 1);
     if let Some(best) = outcome.best_config() {
         println!("\nbest configuration found:");
         for (name, value) in best.iter() {

@@ -39,6 +39,15 @@ for threads in 1 2 8; do
   SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test fault_injection
 done
 
+# The benchmark is a workspace of its own, so the workspace run above
+# skips its tests: the span-to-layer map and the agreement of its
+# self-time table with trace_summary's. The step only reads perfbench/
+# (builds land in its ignored target/), so the tree must stay clean.
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+[ -z "$(git status --porcelain -- perfbench)" ] \
+  || { echo "perfbench tests left files behind"; git status --short -- perfbench; exit 1; }
+
 echo "==> cargo build -q -p bench --bins --benches"
 cargo build -q -p bench --bins --benches
 

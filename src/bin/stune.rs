@@ -235,7 +235,7 @@ fn tune(args: &[String]) -> ExitCode {
         }
         // batch == 1 is the sequential loop; larger batches propose and
         // evaluate whole rounds at once.
-        let outcome = session.run_batched(&mut objective, budget, batch);
+        let outcome = session.run(&mut objective, budget, batch);
 
         if let Some(d) = &outcome.degradation {
             println!(

@@ -33,7 +33,8 @@
 //!     &SimEnvironment::dedicated(42),
 //! );
 //! let mut session = TuningSession::new(TunerKind::BayesOpt, 7);
-//! let outcome = session.run(&mut objective, 15);
+//! // 15 evaluations, one per round (the sequential loop).
+//! let outcome = session.run(&mut objective, 15, 1);
 //! assert!(outcome.best_runtime_s() > 0.0);
 //! assert!(outcome.best_config().is_some());
 //! ```

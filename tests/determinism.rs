@@ -10,7 +10,7 @@ fn full_session(seed: u64) -> (f64, Vec<f64>) {
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::Genetic, seed);
-    let outcome = session.run(&mut obj, 12);
+    let outcome = session.run(&mut obj, 12, 1);
     (
         outcome.best_runtime_s(),
         outcome.history.iter().map(|o| o.runtime_s).collect(),

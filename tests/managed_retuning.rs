@@ -12,7 +12,7 @@ fn managed_execution_retunes_and_improves_after_growth() {
     let mut obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Tiny), &env);
     let mut session = TuningSession::new(TunerKind::BayesOpt, 5);
     let tuned_small = session
-        .run(&mut obj, 15)
+        .run(&mut obj, 15, 1)
         .best_config()
         .cloned()
         .expect("found a configuration");

@@ -10,7 +10,7 @@ fn tune(kind: TunerKind, budget: usize, seed: u64) -> TuningOutcome {
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(kind, seed ^ 0xAB);
-    session.run(&mut obj, budget)
+    session.run(&mut obj, budget, 1)
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn warm_start_is_visible_to_the_strategy_but_not_charged() {
     let donated = tune(TunerKind::Random, 10, 21).history;
     let mut session = TuningSession::new(TunerKind::BayesOpt, 99);
     session.warm_start(donated);
-    let outcome = session.run(&mut obj, 8);
+    let outcome = session.run(&mut obj, 8, 1);
     assert_eq!(
         outcome.history.len(),
         8,
