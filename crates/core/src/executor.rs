@@ -453,7 +453,9 @@ impl TrialExecutor {
 
     /// Whether `config` is quarantined (fails without evaluation).
     pub fn is_quarantined(&self, config: &Configuration) -> bool {
-        self.quarantined.contains(&quarantine_key(config))
+        // Skip formatting the key while nothing is quarantined (every
+        // session without faults).
+        !self.quarantined.is_empty() && self.quarantined.contains(&quarantine_key(config))
     }
 
     /// Evaluates `configs` concurrently, returning a [`TrialOutcome`]
@@ -502,7 +504,9 @@ impl TrialExecutor {
             match outcome {
                 TrialOutcome::Ok { observation, .. } => {
                     // A success clears the configuration's strikes.
-                    self.strikes.remove(&quarantine_key(&observation.config));
+                    if !self.strikes.is_empty() {
+                        self.strikes.remove(&quarantine_key(&observation.config));
+                    }
                 }
                 TrialOutcome::Failed {
                     error: TrialError::Quarantined,

@@ -7,15 +7,13 @@
 //! record: a concurrent, append-only store of execution records with
 //! signature-based similarity queries.
 //!
-//! Concurrency layout: records are sharded by tenant hash across
-//! [`SHARD_COUNT`] independently locked vectors, so concurrent tenants
-//! insert without contending on one global lock. A global atomic hands
-//! out sequence numbers. Readers that only need *new* records use a
-//! [`HistoryCursor`] ([`HistoryStore::records_since`]) instead of the
-//! full-clone [`HistoryStore::snapshot`], which remains as the
-//! seq-ordered cold path for persistence and tests.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Layout: one append-only log behind one reader-writer lock. A
+//! record's sequence number is its position in the log, assigned under
+//! the write lock, so every record a reader can count it can also read.
+//! Readers that only need *new* records pass the position they have
+//! read up to to [`HistoryStore::records_since`] instead of cloning the
+//! whole log with [`HistoryStore::snapshot`], which remains the cold
+//! path for persistence and tests.
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -23,9 +21,6 @@ use serde::{Deserialize, Serialize};
 use confspace::Configuration;
 
 use crate::characterize::WorkloadSignature;
-
-/// Number of tenant-hash shards in the store.
-pub const SHARD_COUNT: usize = 16;
 
 /// How the execution behind a record ended. Non-`Ok` records exist for
 /// bookkeeping (degradation audits, quarantine forensics) but are
@@ -82,7 +77,7 @@ pub struct ExecutionRecord {
     pub runtime_s: f64,
     /// Dollar cost of the run.
     pub cost_usd: f64,
-    /// Monotonic record sequence number (assigned by the store).
+    /// Position in the store's log (assigned by the store).
     pub seq: u64,
     /// How the execution ended (pre-outcome records load as `Ok`).
     pub outcome: RecordOutcome,
@@ -105,49 +100,11 @@ impl ExecutionRecord {
     }
 }
 
-/// An incremental read position over a [`HistoryStore`].
-///
-/// Tracks one position per shard; [`HistoryStore::records_since`]
-/// returns every record appended since the cursor last advanced,
-/// exactly once, without cloning the rest of the store.
-#[derive(Debug, Clone, Default)]
-pub struct HistoryCursor {
-    positions: [usize; SHARD_COUNT],
-}
-
-impl HistoryCursor {
-    /// A cursor positioned at the beginning of the store (the first
-    /// [`HistoryStore::records_since`] call sees everything).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A concurrent multi-tenant history store.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HistoryStore {
-    shards: [RwLock<Vec<ExecutionRecord>>; SHARD_COUNT],
-    next_seq: AtomicU64,
-}
-
-impl Default for HistoryStore {
-    fn default() -> Self {
-        HistoryStore {
-            shards: std::array::from_fn(|_| RwLock::new(Vec::new())),
-            next_seq: AtomicU64::new(0),
-        }
-    }
-}
-
-/// FNV-1a over the tenant id — stable across runs so a tenant's records
-/// always land in the same shard.
-fn shard_of(client: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in client.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h as usize) % SHARD_COUNT
+    /// Every record in insertion order; `records[i].seq == i`.
+    records: RwLock<Vec<ExecutionRecord>>,
 }
 
 impl HistoryStore {
@@ -156,26 +113,15 @@ impl HistoryStore {
         Self::default()
     }
 
-    /// Appends a record, assigning its sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record fails [`ExecutionRecord::validate`] —
-    /// callers ingesting untrusted telemetry must use
-    /// [`HistoryStore::try_insert`] instead.
-    pub fn insert(&self, record: ExecutionRecord) -> u64 {
-        self.try_insert(record)
-            .expect("caller must validate records before insert")
-    }
-
     /// Appends a record after validating it, assigning its sequence
-    /// number. Poisoned records (NaN/negative runtime or cost) are
-    /// rejected with a reason and counted under `history.rejects`.
+    /// number (its position in the log). Poisoned records (NaN/negative
+    /// runtime or cost) are rejected with a reason and counted under
+    /// `history.rejects`.
     ///
     /// # Errors
     ///
     /// Returns the validation failure without mutating the store.
-    pub fn try_insert(&self, mut record: ExecutionRecord) -> Result<u64, String> {
+    pub fn insert(&self, mut record: ExecutionRecord) -> Result<u64, String> {
         let reg = obs::registry();
         if let Err(why) = record.validate() {
             reg.counter("history.rejects").inc();
@@ -183,17 +129,18 @@ impl HistoryStore {
         }
         reg.counter("history.inserts").inc();
         Ok(reg.histogram("history.insert_s").time(|| {
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            let mut records = self.records.write();
+            let seq = records.len() as u64;
             record.seq = seq;
-            self.shards[shard_of(&record.client)].write().push(record);
-            reg.gauge("history.records").set((seq + 1) as f64);
+            records.push(record);
+            reg.gauge("history.records").set(records.len() as f64);
             seq
         }))
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.next_seq.load(Ordering::Relaxed) as usize
+        self.records.read().len()
     }
 
     /// Whether the store is empty.
@@ -201,41 +148,27 @@ impl HistoryStore {
         self.len() == 0
     }
 
-    /// All records, cloned and ordered by sequence number. This is the
-    /// cold path (persistence, offline analysis); concurrent readers on
-    /// the tuning hot path should use [`HistoryStore::records_since`].
+    /// All records, cloned, in sequence order. This is the cold path
+    /// (persistence, offline analysis); concurrent readers on the
+    /// tuning hot path should use [`HistoryStore::records_since`].
     pub fn snapshot(&self) -> Vec<ExecutionRecord> {
-        let mut all: Vec<ExecutionRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.read().iter().cloned());
-        }
-        all.sort_by_key(|r| r.seq);
-        all
+        self.records.read().clone()
     }
 
-    /// Clones every record appended since `cursor` last advanced and
-    /// moves the cursor past them. Each record is returned exactly once
-    /// across successive calls; results are ordered by sequence number.
-    pub fn records_since(&self, cursor: &mut HistoryCursor) -> Vec<ExecutionRecord> {
-        let mut fresh = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let records = shard.read();
-            if cursor.positions[i] < records.len() {
-                fresh.extend(records[cursor.positions[i]..].iter().cloned());
-                cursor.positions[i] = records.len();
-            }
-        }
-        fresh.sort_by_key(|r| r.seq);
-        fresh
+    /// Clones every record from sequence number `from` on, in sequence
+    /// order. A reader that passes the number of records it has read so
+    /// far sees each record exactly once across successive calls.
+    pub fn records_since(&self, from: usize) -> Vec<ExecutionRecord> {
+        let records = self.records.read();
+        records.get(from..).unwrap_or_default().to_vec()
     }
 
     /// The `k` records most similar to `query` (by signature distance),
     /// optionally excluding one tenant (so a client's own runs don't
-    /// masquerade as transfer).
+    /// masquerade as transfer). Distance ties go to the earlier record.
     ///
-    /// Two-pass: score every record under short per-shard read locks,
-    /// then clone only the winning `k` (ties broken by sequence number,
-    /// matching the old insertion-order stable sort).
+    /// Scores every record without cloning it, then clones only the
+    /// `k` winners, all under one read guard.
     pub fn most_similar(
         &self,
         query: &WorkloadSignature,
@@ -245,46 +178,24 @@ impl HistoryStore {
         let reg = obs::registry();
         reg.counter("history.queries").inc();
         reg.histogram("history.query_s").time(|| {
-            // Pass 1: score (distance, seq, shard, position) without
-            // cloning any record.
-            let mut scored: Vec<(f64, u64, usize, usize)> = Vec::new();
-            for (si, shard) in self.shards.iter().enumerate() {
-                let records = shard.read();
-                for (pi, r) in records.iter().enumerate() {
-                    if exclude_client.is_some_and(|c| r.client == c) {
-                        continue;
-                    }
-                    // Censored runs never transfer: their penalty
-                    // runtime is an artifact, not a measurement.
-                    if r.outcome != RecordOutcome::Ok {
-                        continue;
-                    }
-                    scored.push((query.distance(&r.signature), r.seq, si, pi));
-                }
-            }
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            scored.truncate(k);
-            // Pass 2: clone the winners. Shards are append-only, so the
-            // (shard, position) coordinates remain valid.
+            let records = self.records.read();
+            let mut scored: Vec<(f64, usize)> = records
+                .iter()
+                .enumerate()
+                // Censored runs never transfer: their penalty runtime
+                // is an artifact, not a measurement.
+                .filter(|(_, r)| {
+                    r.outcome == RecordOutcome::Ok && exclude_client.is_none_or(|c| r.client != c)
+                })
+                .map(|(i, r)| (query.distance(&r.signature), i))
+                .collect();
+            scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             scored
                 .into_iter()
-                .map(|(_, _, si, pi)| self.shards[si].read()[pi].clone())
+                .take(k)
+                .map(|(_, i)| records[i].clone())
                 .collect()
         })
-    }
-
-    /// The best (fastest) recorded configuration among the `k` most
-    /// similar records — the provider's "best configuration found for a
-    /// similar workload" (§V-C).
-    pub fn best_similar_config(
-        &self,
-        query: &WorkloadSignature,
-        k: usize,
-        exclude_client: Option<&str>,
-    ) -> Option<ExecutionRecord> {
-        self.most_similar(query, k, exclude_client)
-            .into_iter()
-            .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
     }
 
     /// Best known runtime among similar records — the reference point
@@ -298,16 +209,13 @@ impl HistoryStore {
     }
 
     /// All records for one tenant's workload label, in sequence order.
-    /// Touches only the tenant's shard.
     pub fn for_workload(&self, client: &str, workload: &str) -> Vec<ExecutionRecord> {
-        let mut out: Vec<ExecutionRecord> = self.shards[shard_of(client)]
+        self.records
             .read()
             .iter()
             .filter(|r| r.client == client && r.workload == workload)
             .cloned()
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
+            .collect()
     }
 }
 
@@ -348,16 +256,16 @@ mod tests {
     #[test]
     fn insert_assigns_sequence_numbers() {
         let store = HistoryStore::new();
-        assert_eq!(store.insert(record("a", 50.0, 10.0)), 0);
-        assert_eq!(store.insert(record("a", 50.0, 11.0)), 1);
+        assert_eq!(store.insert(record("a", 50.0, 10.0)), Ok(0));
+        assert_eq!(store.insert(record("a", 50.0, 11.0)), Ok(1));
         assert_eq!(store.len(), 2);
     }
 
     #[test]
     fn most_similar_ranks_by_signature_distance() {
         let store = HistoryStore::new();
-        store.insert(record("a", 90.0, 10.0)); // cpu-heavy
-        store.insert(record("b", 10.0, 10.0)); // io-heavy
+        store.insert(record("a", 90.0, 10.0)).expect("valid record"); // cpu-heavy
+        store.insert(record("b", 10.0, 10.0)).expect("valid record"); // io-heavy
         let near_cpu = store.most_similar(&sig(85.0, 15.0), 1, None);
         assert_eq!(near_cpu.len(), 1);
         assert_eq!(near_cpu[0].client, "a");
@@ -366,10 +274,13 @@ mod tests {
     #[test]
     fn most_similar_breaks_distance_ties_by_seq() {
         let store = HistoryStore::new();
-        // Identical signatures from clients in different shards: the
-        // earlier insertion must win, as with the old stable sort.
-        store.insert(record("first", 50.0, 1.0));
-        store.insert(record("second", 50.0, 2.0));
+        // Identical signatures: the earlier insertion must win.
+        store
+            .insert(record("first", 50.0, 1.0))
+            .expect("valid record");
+        store
+            .insert(record("second", 50.0, 2.0))
+            .expect("valid record");
         let top = store.most_similar(&sig(50.0, 50.0), 1, None);
         assert_eq!(top[0].client, "first");
     }
@@ -377,91 +288,73 @@ mod tests {
     #[test]
     fn exclusion_filters_a_tenant() {
         let store = HistoryStore::new();
-        store.insert(record("a", 90.0, 10.0));
-        store.insert(record("b", 89.0, 20.0));
+        store.insert(record("a", 90.0, 10.0)).expect("valid record");
+        store.insert(record("b", 89.0, 20.0)).expect("valid record");
         let r = store.most_similar(&sig(90.0, 10.0), 5, Some("a"));
         assert!(r.iter().all(|x| x.client == "b"));
     }
 
     #[test]
-    fn best_similar_config_minimizes_runtime() {
+    fn best_similar_runtime_is_the_fastest_neighbour() {
         let store = HistoryStore::new();
-        store.insert(record("a", 90.0, 30.0));
-        store.insert(record("b", 88.0, 12.0));
-        store.insert(record("c", 87.0, 25.0));
-        let best = store
-            .best_similar_config(&sig(89.0, 11.0), 3, None)
-            .unwrap();
-        assert_eq!(best.runtime_s, 12.0);
+        store.insert(record("a", 90.0, 30.0)).expect("valid record");
+        store.insert(record("b", 88.0, 12.0)).expect("valid record");
+        store.insert(record("c", 87.0, 25.0)).expect("valid record");
         assert_eq!(store.best_similar_runtime(&sig(89.0, 11.0), 3), Some(12.0));
     }
 
     #[test]
     fn for_workload_scopes_by_client_and_label() {
         let store = HistoryStore::new();
-        store.insert(record("a", 50.0, 10.0));
+        store.insert(record("a", 50.0, 10.0)).expect("valid record");
         let mut other = record("a", 50.0, 10.0);
         other.workload = "other".to_owned();
-        store.insert(other);
-        store.insert(record("b", 50.0, 10.0));
+        store.insert(other).expect("valid record");
+        store.insert(record("b", 50.0, 10.0)).expect("valid record");
         assert_eq!(store.for_workload("a", "job").len(), 1);
     }
 
     #[test]
-    fn snapshot_is_seq_ordered_across_shards() {
+    fn records_since_sees_each_record_exactly_once() {
         let store = HistoryStore::new();
-        for i in 0..20 {
-            store.insert(record(&format!("client-{i}"), 50.0, i as f64));
+        assert!(store.records_since(0).is_empty());
+        // Rounds of interleaved tenants, read between rounds: every
+        // record comes back exactly once, in insertion order.
+        let mut read: Vec<ExecutionRecord> = Vec::new();
+        for round in 0..6 {
+            for i in 0..=round {
+                let client = format!("c{}", (round * 7 + i) % 11);
+                store
+                    .insert(record(&client, 40.0, (round * 10 + i) as f64))
+                    .expect("valid record");
+            }
+            let fresh = store.records_since(read.len());
+            assert_eq!(fresh.len(), round + 1);
+            read.extend(fresh);
+            assert!(store.records_since(read.len()).is_empty());
         }
         let snap = store.snapshot();
-        assert_eq!(snap.len(), 20);
+        assert_eq!(read, snap);
         for (i, r) in snap.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
         }
     }
 
     #[test]
-    fn cursor_sees_each_record_exactly_once() {
-        let store = HistoryStore::new();
-        let mut cursor = HistoryCursor::new();
-        assert!(store.records_since(&mut cursor).is_empty());
-        for i in 0..6 {
-            store.insert(record(&format!("c{i}"), 40.0, i as f64));
-        }
-        let first = store.records_since(&mut cursor);
-        assert_eq!(first.len(), 6);
-        assert!(first.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(store.records_since(&mut cursor).is_empty());
-        store.insert(record("late", 60.0, 9.0));
-        let second = store.records_since(&mut cursor);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].client, "late");
-    }
-
-    #[test]
-    fn try_insert_rejects_poisoned_durations() {
+    fn insert_rejects_poisoned_durations() {
         let store = HistoryStore::new();
         let mut nan = record("a", 50.0, 10.0);
         nan.runtime_s = f64::NAN;
-        assert!(store.try_insert(nan).is_err());
+        assert!(store.insert(nan).is_err());
         let mut neg = record("a", 50.0, 10.0);
         neg.runtime_s = -3.0;
-        assert!(store.try_insert(neg).is_err());
+        assert!(store.insert(neg).is_err());
         let mut bad_cost = record("a", 50.0, 10.0);
         bad_cost.cost_usd = f64::NEG_INFINITY;
-        assert!(store.try_insert(bad_cost).is_err());
+        assert!(store.insert(bad_cost).is_err());
         assert!(store.is_empty(), "rejected records must not enter");
-        assert!(store.try_insert(record("a", 50.0, 10.0)).is_ok());
+        assert!(store.insert(record("a", 50.0, 10.0)).is_ok());
         assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "caller must validate")]
-    fn insert_panics_on_poisoned_record() {
-        let store = HistoryStore::new();
-        let mut bad = record("a", 50.0, 10.0);
-        bad.runtime_s = f64::NAN;
-        store.insert(bad);
     }
 
     #[test]
@@ -469,11 +362,11 @@ mod tests {
         let store = HistoryStore::new();
         let mut aborted = record("a", 90.0, 86_400.0);
         aborted.outcome = RecordOutcome::Failed;
-        store.insert(aborted);
+        store.insert(aborted).expect("valid record");
         let mut reaped = record("b", 90.0, 86_400.0);
         reaped.outcome = RecordOutcome::TimedOut;
-        store.insert(reaped);
-        store.insert(record("c", 10.0, 20.0)); // far but healthy
+        store.insert(reaped).expect("valid record");
+        store.insert(record("c", 10.0, 20.0)).expect("valid record"); // far but healthy
         let top = store.most_similar(&sig(90.0, 10.0), 3, None);
         assert_eq!(top.len(), 1, "censored records must not transfer");
         assert_eq!(top[0].client, "c");
@@ -489,7 +382,8 @@ mod tests {
             let s = Arc::clone(&store);
             handles.push(std::thread::spawn(move || {
                 for i in 0..25 {
-                    s.insert(record(&format!("t{t}"), 50.0, i as f64));
+                    s.insert(record(&format!("t{t}"), 50.0, i as f64))
+                        .expect("valid record");
                 }
             }));
         }
@@ -538,7 +432,7 @@ impl HistoryStore {
             }
             let record: ExecutionRecord = serde_json::from_str(line)?;
             store
-                .try_insert(record)
+                .insert(record)
                 .map_err(|why| serde::DeError::new(why).into())
                 .map_err(|e: serde_json::Error| e)?;
         }
@@ -560,7 +454,7 @@ impl HistoryStore {
                 // Validation failures (poisoned runtime/cost) count as
                 // skipped too — a NaN smuggled into a stored line must
                 // not re-enter the live store.
-                Ok(record) => match store.try_insert(record) {
+                Ok(record) => match store.insert(record) {
                     Ok(_) => {}
                     Err(_) => skipped += 1,
                 },
@@ -603,7 +497,7 @@ mod persistence_tests {
     fn jsonl_roundtrip_preserves_records() {
         let store = HistoryStore::new();
         for i in 0..5 {
-            store.insert(record(i));
+            store.insert(record(i)).expect("valid record");
         }
         let dump = store.to_jsonl().expect("serializes");
         assert_eq!(dump.lines().count(), 5);
@@ -624,7 +518,7 @@ mod persistence_tests {
     fn lossy_load_skips_poisoned_lines() {
         let store = HistoryStore::new();
         for i in 0..3 {
-            store.insert(record(i));
+            store.insert(record(i)).expect("valid record");
         }
         let mut dump = store.to_jsonl().expect("serializes");
         dump.push_str("{\"this is\": \"not a record\"}\n");
@@ -637,7 +531,7 @@ mod persistence_tests {
     #[test]
     fn lossy_load_skips_poisoned_runtimes() {
         let store = HistoryStore::new();
-        store.insert(record(0));
+        store.insert(record(0)).expect("valid record");
         let mut dump = store.to_jsonl().expect("serializes");
         // A line that parses but carries a poisoned runtime must be
         // dropped at ingestion, not stored.
@@ -668,7 +562,7 @@ mod persistence_tests {
     #[test]
     fn records_without_outcome_field_load_as_ok() {
         let store = HistoryStore::new();
-        store.insert(record(0));
+        store.insert(record(0)).expect("valid record");
         let dump = store.to_jsonl().expect("serializes");
         // Strip the outcome key to simulate a pre-outcome JSONL file.
         let line = dump.lines().next().expect("one line");
@@ -689,7 +583,7 @@ mod persistence_tests {
         let store = HistoryStore::new();
         let mut r = record(0);
         r.outcome = RecordOutcome::TimedOut;
-        store.insert(r);
+        store.insert(r).expect("valid record");
         let dump = store.to_jsonl().expect("serializes");
         let restored = HistoryStore::from_jsonl(&dump).expect("parses");
         assert_eq!(restored.snapshot()[0].outcome, RecordOutcome::TimedOut);
@@ -699,7 +593,7 @@ mod persistence_tests {
     fn restored_store_answers_similarity_queries() {
         let store = HistoryStore::new();
         for i in 0..4 {
-            store.insert(record(i));
+            store.insert(record(i)).expect("valid record");
         }
         let dump = store.to_jsonl().expect("serializes");
         let restored = HistoryStore::from_jsonl(&dump).expect("parses");

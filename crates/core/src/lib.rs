@@ -49,7 +49,7 @@ pub use characterize::WorkloadSignature;
 pub use executor::{DegradationReport, RetryPolicy, TrialError, TrialExecutor, TrialOutcome};
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use goal::{GoalObjective, TuningGoal};
-pub use history::{ExecutionRecord, HistoryCursor, HistoryStore, RecordOutcome};
+pub use history::{ExecutionRecord, HistoryStore, RecordOutcome};
 pub use objective::{
     CloudObjective, DiscObjective, JointObjective, Objective, Observation, SimEnvironment,
     FAILURE_PENALTY_S,

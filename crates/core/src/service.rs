@@ -274,9 +274,9 @@ impl SeamlessTuner {
             Vec::new()
         } else if self.config.clustered_donors && self.store.len() >= 12 {
             // AROMA-style: donate from the signature's k-medoids
-            // cluster, maintained incrementally across tunes (cursor
-            // reads + periodic rebuild) instead of re-clustering a full
-            // store snapshot per tenant.
+            // cluster, maintained incrementally across tunes (new
+            // records absorbed, periodic rebuild) instead of
+            // re-clustering a full store snapshot per tenant.
             crate::transfer::records_to_observations(self.cluster_index.donors_for(
                 &self.store,
                 &signature,
@@ -405,8 +405,8 @@ impl SeamlessTuner {
         outcome
     }
 
-    /// Tunes many tenants concurrently over the shared (sharded)
-    /// history store — the provider-side multi-tenant service of §IV.
+    /// Tunes many tenants concurrently over the shared history store —
+    /// the provider-side multi-tenant service of §IV.
     /// Outcomes are returned in request order. Each tenant's session is
     /// driven entirely by its own seed, so results match running the
     /// same requests sequentially whenever tenants do not read each
@@ -448,7 +448,7 @@ impl SeamlessTuner {
         // Poisoned observations are rejected at the store boundary
         // (counted by `history.rejects`) instead of contaminating
         // transfer; nothing to do here beyond not inserting.
-        let _ = self.store.try_insert(ExecutionRecord {
+        let _ = self.store.insert(ExecutionRecord {
             client: client.to_owned(),
             workload: workload.to_owned(),
             signature,

@@ -287,16 +287,18 @@ mod tests {
         let store = HistoryStore::new();
         let sig = WorkloadSignature::from_metrics(&ExecMetrics::default());
         for runtime in [100.0, 200.0, 300.0] {
-            store.insert(ExecutionRecord {
-                client: "donor".into(),
-                workload: "w".into(),
-                signature: sig.clone(),
-                config: Configuration::new().with("a", 1i64),
-                runtime_s: runtime,
-                cost_usd: 0.0,
-                seq: 0,
-                outcome: crate::history::RecordOutcome::Ok,
-            });
+            store
+                .insert(ExecutionRecord {
+                    client: "donor".into(),
+                    workload: "w".into(),
+                    signature: sig.clone(),
+                    config: Configuration::new().with("a", 1i64),
+                    runtime_s: runtime,
+                    cost_usd: 0.0,
+                    seq: 0,
+                    outcome: crate::history::RecordOutcome::Ok,
+                })
+                .expect("valid record");
         }
         let donated = donated_observations(&store, &sig, 3, None, 20.0);
         assert_eq!(donated.len(), 3);
@@ -318,18 +320,7 @@ pub struct ClusteredHistory {
 }
 
 impl ClusteredHistory {
-    /// Clusters the store's records into `k` signature groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the store holds fewer records than `k`.
-    pub fn build(store: &HistoryStore, k: usize, rng: &mut dyn rand::RngCore) -> Self {
-        Self::build_from_records(store.snapshot(), k, rng)
-    }
-
-    /// Clusters an explicit record set into `k` signature groups (the
-    /// store-free path used by [`ClusterIndex`] when rebuilding from
-    /// cursor-accumulated records).
+    /// Clusters `records` into `k` signature groups.
     ///
     /// # Panics
     ///
@@ -432,10 +423,11 @@ pub struct ClusterIndex {
 #[derive(Debug, Default)]
 struct ClusterIndexState {
     clusters: Option<ClusteredHistory>,
-    cursor: crate::history::HistoryCursor,
+    /// Store records read so far (the next `records_since` position).
+    read: usize,
     /// Records not yet clustered (pre-build accumulation only).
     pending: Vec<ExecutionRecord>,
-    /// Store size at the last full rebuild.
+    /// Records clustered at the last full rebuild.
     built_at: usize,
 }
 
@@ -469,9 +461,10 @@ impl ClusterIndex {
         // clustering: their penalty runtimes would distort medoids and
         // they carry no transferable signal — mirrors the filter in
         // [`HistoryStore::most_similar`].
+        let fresh = store.records_since(st.read);
+        st.read += fresh.len();
         st.pending.extend(
-            store
-                .records_since(&mut st.cursor)
+            fresh
                 .into_iter()
                 .filter(|r| r.outcome == crate::history::RecordOutcome::Ok),
         );
@@ -512,11 +505,6 @@ impl ClusterIndex {
             None => store.most_similar(sig, limit, None),
         }
     }
-
-    /// Whether a clustering has been built yet.
-    pub fn is_built(&self) -> bool {
-        self.state.lock().clusters.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -555,8 +543,12 @@ mod clustered_tests {
     fn two_regime_store() -> HistoryStore {
         let store = HistoryStore::new();
         for i in 0..8 {
-            store.insert(record(90.0, 5.0, 20.0 + i as f64)); // cpu-bound
-            store.insert(record(10.0, 80.0, 50.0 + i as f64)); // net-bound
+            store
+                .insert(record(90.0, 5.0, 20.0 + i as f64))
+                .expect("valid record"); // cpu-bound
+            store
+                .insert(record(10.0, 80.0, 50.0 + i as f64))
+                .expect("valid record"); // net-bound
         }
         store
     }
@@ -566,7 +558,7 @@ mod clustered_tests {
         let store = two_regime_store();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         use rand::SeedableRng;
-        let ch = ClusteredHistory::build(&store, 2, &mut rng);
+        let ch = ClusteredHistory::build_from_records(store.snapshot(), 2, &mut rng);
         assert_eq!(ch.k(), 2);
         let cpu_cluster = ch.assign(&sig(85.0, 8.0));
         let net_cluster = ch.assign(&sig(15.0, 75.0));
@@ -583,20 +575,164 @@ mod clustered_tests {
         let store = two_regime_store();
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         use rand::SeedableRng;
-        let ch = ClusteredHistory::build(&store, 2, &mut rng);
+        let ch = ClusteredHistory::build_from_records(store.snapshot(), 2, &mut rng);
         let donors = ch.donors_for(&sig(88.0, 6.0), 3);
         assert_eq!(donors.len(), 3);
         assert!(donors.windows(2).all(|w| w[0].runtime_s <= w[1].runtime_s));
         assert!(donors.iter().all(|r| r.runtime_s < 40.0));
     }
 
+    /// `(built_at, clustered records)` once the index has built, `None`
+    /// while it still answers with the flat search.
+    fn index_state(index: &ClusterIndex) -> Option<(usize, usize)> {
+        let st = index.state.lock();
+        st.clusters.as_ref().map(|c| (st.built_at, c.len_records()))
+    }
+
+    fn cpu_query() -> WorkloadSignature {
+        sig(88.0, 6.0)
+    }
+
+    #[test]
+    fn index_falls_back_to_flat_search_below_min_records() {
+        let store = HistoryStore::new();
+        for i in 0..5 {
+            store
+                .insert(record(90.0, 5.0, 20.0 + i as f64))
+                .expect("valid record");
+        }
+        let index = ClusterIndex::new(2, 6);
+        let donors = index.donors_for(&store, &cpu_query(), 3, 1);
+        assert_eq!(donors, store.most_similar(&cpu_query(), 3, None));
+        assert_eq!(index_state(&index), None);
+    }
+
+    #[test]
+    fn index_builds_once_min_records_exist() {
+        let store = HistoryStore::new();
+        for i in 0..3 {
+            store
+                .insert(record(90.0, 5.0, 20.0 + i as f64))
+                .expect("valid record");
+            store
+                .insert(record(10.0, 80.0, 50.0 + i as f64))
+                .expect("valid record");
+        }
+        let index = ClusterIndex::new(2, 6);
+        let donors = index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), Some((6, 6)));
+        // Clustered donors: the query's cluster only, fastest first.
+        let runtimes: Vec<f64> = donors.iter().map(|r| r.runtime_s).collect();
+        assert_eq!(runtimes, vec![20.0, 21.0]);
+    }
+
+    #[test]
+    fn index_absorbs_new_records_without_rebuilding() {
+        let store = HistoryStore::new();
+        for i in 0..3 {
+            store
+                .insert(record(90.0, 5.0, 20.0 + i as f64))
+                .expect("valid record");
+            store
+                .insert(record(10.0, 80.0, 50.0 + i as f64))
+                .expect("valid record");
+        }
+        let index = ClusterIndex::new(2, 6);
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        store.insert(record(89.0, 6.0, 5.0)).expect("valid record");
+        store
+            .insert(record(11.0, 79.0, 45.0))
+            .expect("valid record");
+        let donors = index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), Some((6, 8)), "absorbed, not rebuilt");
+        // The absorbed cpu-bound record joined the query's cluster.
+        assert_eq!(donors[0].runtime_s, 5.0);
+        // A call with nothing new changes nothing.
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), Some((6, 8)));
+    }
+
+    #[test]
+    fn index_rebuilds_when_ok_records_double() {
+        let store = HistoryStore::new();
+        for i in 0..3 {
+            store
+                .insert(record(90.0, 5.0, 20.0 + i as f64))
+                .expect("valid record");
+            store
+                .insert(record(10.0, 80.0, 50.0 + i as f64))
+                .expect("valid record");
+        }
+        let index = ClusterIndex::new(2, 6);
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        for i in 0..5 {
+            store
+                .insert(record(90.0, 5.0, 30.0 + i as f64))
+                .expect("valid record");
+        }
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), Some((6, 11)));
+        store
+            .insert(record(10.0, 80.0, 60.0))
+            .expect("valid record");
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), Some((12, 12)), "doubled: rebuilt");
+    }
+
+    #[test]
+    fn index_never_clusters_censored_records() {
+        let censored = |cpu: f64, net: f64, outcome| ExecutionRecord {
+            outcome,
+            ..record(cpu, net, 86_400.0)
+        };
+        let store = HistoryStore::new();
+        for i in 0..3 {
+            store
+                .insert(record(90.0, 5.0, 20.0 + i as f64))
+                .expect("valid record");
+            store
+                .insert(censored(90.0, 5.0, crate::history::RecordOutcome::Failed))
+                .expect("valid record");
+            store
+                .insert(censored(
+                    10.0,
+                    80.0,
+                    crate::history::RecordOutcome::TimedOut,
+                ))
+                .expect("valid record");
+        }
+        let index = ClusterIndex::new(2, 6);
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), None, "censored records do not count");
+        for i in 0..3 {
+            store
+                .insert(record(10.0, 80.0, 50.0 + i as f64))
+                .expect("valid record");
+        }
+        index.donors_for(&store, &cpu_query(), 2, 1);
+        assert_eq!(index_state(&index), Some((6, 6)));
+        // Six censored records later the Ok count has not doubled.
+        for _ in 0..6 {
+            store
+                .insert(censored(90.0, 5.0, crate::history::RecordOutcome::Failed))
+                .expect("valid record");
+        }
+        let donors = index.donors_for(&store, &cpu_query(), 10, 1);
+        assert_eq!(index_state(&index), Some((6, 6)));
+        assert!(donors
+            .iter()
+            .all(|r| r.outcome == crate::history::RecordOutcome::Ok));
+    }
+
     #[test]
     #[should_panic(expected = "need at least k")]
     fn too_few_records_panics() {
         let store = HistoryStore::new();
-        store.insert(record(50.0, 20.0, 10.0));
+        store
+            .insert(record(50.0, 20.0, 10.0))
+            .expect("valid record");
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         use rand::SeedableRng;
-        let _ = ClusteredHistory::build(&store, 4, &mut rng);
+        let _ = ClusteredHistory::build_from_records(store.snapshot(), 4, &mut rng);
     }
 }

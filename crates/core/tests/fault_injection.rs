@@ -244,8 +244,8 @@ fn poisoned_metrics_never_reach_the_history_store() {
     }
 }
 
-/// The shard-write failure path: a record carrying poisoned durations is
-/// rejected by `try_insert` (counted on the obs registry), and a JSONL
+/// The history-write failure path: a record carrying poisoned durations
+/// is rejected by `insert` (counted on the obs registry), and a JSONL
 /// shard containing such a line loads lossily — dropping exactly the
 /// poisoned record — while the strict loader refuses the whole shard.
 #[test]
@@ -263,9 +263,9 @@ fn history_shard_rejects_poisoned_writes() {
         outcome: RecordOutcome::Ok,
     };
     let rejects_before = obs::registry().counter("history.rejects").get();
-    assert!(store.try_insert(record(10.0)).is_ok());
-    assert!(store.try_insert(record(f64::NAN)).is_err());
-    assert!(store.try_insert(record(-5.0)).is_err());
+    assert!(store.insert(record(10.0)).is_ok());
+    assert!(store.insert(record(f64::NAN)).is_err());
+    assert!(store.insert(record(-5.0)).is_err());
     assert_eq!(store.len(), 1, "rejected writes must not land");
     assert!(
         obs::registry().counter("history.rejects").get() >= rejects_before + 2,

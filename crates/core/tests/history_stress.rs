@@ -1,15 +1,13 @@
-//! Concurrency stress tests for the sharded [`HistoryStore`]: many
-//! tenants inserting, querying, and cursor-reading at once must never
-//! lose a record, duplicate a sequence number, or deadlock — the store
-//! is the one piece of shared state behind `tune_many`.
+//! Concurrency stress tests for the [`HistoryStore`] log: many tenants
+//! inserting, querying, and reading new records at once must never lose
+//! a record, duplicate a sequence number, or deadlock — the store is the
+//! one piece of shared state behind `tune_many`.
 
 use std::sync::Arc;
 use std::thread;
 
 use confspace::Configuration;
-use seamless_core::{
-    ExecutionRecord, HistoryCursor, HistoryStore, RecordOutcome, WorkloadSignature,
-};
+use seamless_core::{ExecutionRecord, HistoryStore, RecordOutcome, WorkloadSignature};
 use simcluster::{ExecMetrics, StageMetrics};
 
 const WRITERS: usize = 8;
@@ -43,21 +41,20 @@ fn record(client: &str, i: usize) -> ExecutionRecord {
     }
 }
 
-/// Writers, similarity readers, and a cursor consumer all hammer one
-/// store; afterwards every record must be present exactly once with a
-/// unique sequence number, and the cursor must have seen each exactly
-/// once.
+/// Writers, similarity readers, and an incremental reader all hammer
+/// one store; afterwards every record must be present exactly once with
+/// a unique sequence number, and the reader must have seen each exactly
+/// once, in sequence order.
 #[test]
-fn concurrent_insert_query_and_cursor_reads() {
+fn concurrent_insert_query_and_incremental_reads() {
     let store = Arc::new(HistoryStore::new());
     let total = WRITERS * PER_WRITER;
 
-    let cursor_store = Arc::clone(&store);
-    let cursor_thread = thread::spawn(move || {
-        let mut cursor = HistoryCursor::new();
+    let reader_store = Arc::clone(&store);
+    let reader_thread = thread::spawn(move || {
         let mut seen: Vec<u64> = Vec::new();
         while seen.len() < total {
-            for r in cursor_store.records_since(&mut cursor) {
+            for r in reader_store.records_since(seen.len()) {
                 seen.push(r.seq);
             }
             thread::yield_now();
@@ -71,7 +68,7 @@ fn concurrent_insert_query_and_cursor_reads() {
         handles.push(thread::spawn(move || {
             let client = format!("tenant-{w}");
             for i in 0..PER_WRITER {
-                store.insert(record(&client, i));
+                store.insert(record(&client, i)).expect("valid record");
                 // Interleave reads with writes: queries must not block
                 // or observe torn state.
                 if i % 7 == 0 {
@@ -100,23 +97,24 @@ fn concurrent_insert_query_and_cursor_reads() {
     let seqs: Vec<u64> = snapshot.iter().map(|r| r.seq).collect();
     assert_eq!(seqs, (0..total as u64).collect::<Vec<_>>());
 
-    // The concurrent cursor saw each record exactly once.
-    let mut cursor_seqs = cursor_thread.join().expect("cursor panicked");
-    cursor_seqs.sort_unstable();
-    assert_eq!(cursor_seqs, (0..total as u64).collect::<Vec<_>>());
+    // The concurrent reader saw each record exactly once, in order.
+    let read_seqs = reader_thread.join().expect("reader panicked");
+    assert_eq!(read_seqs, (0..total as u64).collect::<Vec<_>>());
 }
 
-/// A cursor opened after the stress run drains everything in one call
-/// and then stays empty.
+/// A reader starting after the stress run drains everything in one call
+/// and then sees nothing new.
 #[test]
-fn cursor_after_concurrent_inserts_drains_once() {
+fn records_since_after_concurrent_inserts_drains_once() {
     let store = Arc::new(HistoryStore::new());
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let store = Arc::clone(&store);
             thread::spawn(move || {
                 for i in 0..PER_WRITER {
-                    store.insert(record(&format!("c{w}"), i));
+                    store
+                        .insert(record(&format!("c{w}"), i))
+                        .expect("valid record");
                 }
             })
         })
@@ -125,15 +123,14 @@ fn cursor_after_concurrent_inserts_drains_once() {
         h.join().expect("writer panicked");
     }
 
-    let mut cursor = HistoryCursor::new();
-    let drained = store.records_since(&mut cursor);
+    let drained = store.records_since(0);
     assert_eq!(drained.len(), WRITERS * PER_WRITER);
     assert!(drained.windows(2).all(|p| p[0].seq < p[1].seq));
-    assert!(store.records_since(&mut cursor).is_empty());
+    assert!(store.records_since(drained.len()).is_empty());
 }
 
 /// The JSONL round-trip must survive a store populated concurrently:
-/// sharding is an in-memory layout, not a persistence format.
+/// the restored log keeps the live log's order.
 #[test]
 fn jsonl_roundtrip_after_concurrent_population() {
     let store = Arc::new(HistoryStore::new());
@@ -142,7 +139,9 @@ fn jsonl_roundtrip_after_concurrent_population() {
             let store = Arc::clone(&store);
             thread::spawn(move || {
                 for i in 0..PER_WRITER {
-                    store.insert(record(&format!("c{w}"), i));
+                    store
+                        .insert(record(&format!("c{w}"), i))
+                        .expect("valid record");
                 }
             })
         })

@@ -15,11 +15,16 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken intra-doc links (a renamed or deleted item still named in a
+# doc comment) fail the build like lints do.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 # Re-run the concurrency suites with an explicit worker count: the
-# batched executor and sharded history store must behave identically
+# batched executor and the shared history log must behave identically
 # whatever SEAMLESS_THREADS says.
 echo "==> SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --test history_stress"
 SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --test history_stress

@@ -10,6 +10,9 @@
 //! changes a fingerprint. The values were recorded before the candidate
 //! pools moved to index-addressed points and must hold at any
 //! `SEAMLESS_THREADS` (BO acquisition is chunked over worker threads).
+//! The clustered-donor value was recorded on the 16-shard history store
+//! before it became one log; its two passes over the trio cover the
+//! cluster index's first build, its absorbs and a rebuild.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -26,8 +29,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Tunes the trio under `config` and hashes both stages' histories.
-fn fingerprint(config: ServiceConfig, seed: u64) -> u64 {
+/// Tunes the trio `passes` times under `config` (the same tenants
+/// again on every pass) and hashes both stages' histories.
+fn fingerprint(config: ServiceConfig, seed: u64, passes: u64) -> u64 {
     let service = SeamlessTuner::new(
         Arc::new(HistoryStore::new()),
         SimEnvironment::dedicated(seed),
@@ -39,17 +43,20 @@ fn fingerprint(config: ServiceConfig, seed: u64) -> u64 {
         ("bayes", BayesClassifier::new().job(DataScale::Ds1)),
     ];
     let mut trace = String::new();
-    for (i, (name, job)) in jobs.iter().enumerate() {
-        let out = service.tune(&format!("tenant-{i}"), name, job, seed + i as u64);
-        for (stage, history) in [(1, &out.stage1.history), (2, &out.stage2.history)] {
-            for o in history {
-                writeln!(
-                    trace,
-                    "{name}/{stage} {} {:016x}",
-                    o.config,
-                    o.runtime_s.to_bits()
-                )
-                .expect("write to String");
+    for pass in 0..passes {
+        for (i, (name, job)) in jobs.iter().enumerate() {
+            let tune_seed = seed + pass * jobs.len() as u64 + i as u64;
+            let out = service.tune(&format!("tenant-{i}"), name, job, tune_seed);
+            for (stage, history) in [(1, &out.stage1.history), (2, &out.stage2.history)] {
+                for o in history {
+                    writeln!(
+                        trace,
+                        "{name}/{stage} {} {:016x}",
+                        o.config,
+                        o.runtime_s.to_bits()
+                    )
+                    .expect("write to String");
+                }
             }
         }
     }
@@ -60,7 +67,7 @@ fn fingerprint(config: ServiceConfig, seed: u64) -> u64 {
 fn default_config_fingerprints_are_pinned() {
     let got: Vec<u64> = [1, 2, 3]
         .iter()
-        .map(|&seed| fingerprint(ServiceConfig::default(), seed))
+        .map(|&seed| fingerprint(ServiceConfig::default(), seed, 1))
         .collect();
     assert_eq!(
         got,
@@ -77,7 +84,7 @@ fn batched_bayesopt_fingerprint_is_pinned() {
         ..ServiceConfig::default()
     };
     assert_eq!(
-        fingerprint(config, 11),
+        fingerprint(config, 11, 1),
         0x7ee824becd858e1c,
         "batch-8 BayesOpt fingerprint moved"
     );
@@ -90,8 +97,25 @@ fn random_search_fingerprint_is_pinned() {
         ..ServiceConfig::default()
     };
     assert_eq!(
-        fingerprint(config, 5),
+        fingerprint(config, 5, 1),
         0xa09fb168bc20a387,
         "random-search fingerprint moved"
+    );
+}
+
+#[test]
+fn clustered_donors_fingerprint_is_pinned() {
+    let config = ServiceConfig {
+        clustered_donors: true,
+        ..ServiceConfig::default()
+    };
+    let got: Vec<u64> = [7, 8]
+        .iter()
+        .map(|&seed| fingerprint(config, seed, 2))
+        .collect();
+    assert_eq!(
+        got,
+        vec![0x7b319d05a9d6e0cd, 0x9c56058d30e2baaa],
+        "clustered-donor fingerprints moved"
     );
 }
