@@ -71,24 +71,16 @@ fn bench_gp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `fit_auto` hyperparameter grid: sequential baseline, parallel,
-/// and warm-cache incremental — the tuning-loop hot path this crate's
-/// perf work targets.
+/// The `fit_auto` hyperparameter grid: a cold fit (every factor grown
+/// from zero rows) and the warm-cache paths — the tuning-loop hot path
+/// this crate's perf work targets.
 fn bench_fit_auto(c: &mut Criterion) {
     let mut group = c.benchmark_group("fit_auto");
     for n in [32usize, 120] {
         let (x, y) = synthetic(n, 26, 13);
-        group.bench_with_input(BenchmarkId::new("threads1", n), &n, |b, _| {
-            b.iter(|| GpRegressor::fit_auto_threads(&x, &y, MATERN, 1));
+        group.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
+            b.iter(|| GpRegressor::fit_auto(&x, &y, MATERN));
         });
-        let threads = models::par::num_threads();
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads{threads}"), n),
-            &n,
-            |b, _| {
-                b.iter(|| GpRegressor::fit_auto_threads(&x, &y, MATERN, threads));
-            },
-        );
         group.bench_with_input(BenchmarkId::new("cached_incremental", n), &n, |b, _| {
             // Warm the cache with the n-1 prefix, then measure the
             // one-row incremental update a BO iteration performs.

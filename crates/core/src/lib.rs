@@ -8,12 +8,13 @@
 //!   (configuration → observed runtime/cost), implemented against the
 //!   `simcluster` substrate for the DISC layer, the cloud layer, and
 //!   the joint space;
-//! * [`tuner`] — ten strategies spanning the paper's survey (§II):
+//! * [`tuner`] — eleven strategies spanning the paper's survey (§II):
 //!   random / LHS search, MROnline hill climbing, CherryPick Bayesian
 //!   optimization (plus an additive-kernel variant, §V-A), DAC's
 //!   surrogate-assisted genetic search, BestConfig's
 //!   divide-and-diverge + bound-and-search, Wang's regression trees,
-//!   PARIS's random forests and Ernest's analytic scaling model;
+//!   PARIS's random forests, Ernest's analytic scaling model and Bu et
+//!   al.'s reinforcement-learning nudges;
 //! * [`executor`] + [`faults`] — concurrent trial execution with
 //!   deterministic seeding, plus the resilience layer: seeded fault
 //!   injection, retry/backoff policies, deadlines and quarantine;

@@ -9,7 +9,7 @@
 //! | [`lhs`] | Latin-hypercube search | stratified baseline |
 //! | [`hillclimb`] | restart hill climbing | MROnline \[25\] |
 //! | [`bo`] | GP Bayesian optimization (Matérn 5/2 + EI) | CherryPick \[10\] |
-//! | [`additive_bo`] | BO with additive GP kernel | Duvenaud et al. (§V-A) |
+//! | [`bo`] ([`BayesOpt::additive`]) | BO with additive GP kernel | Duvenaud et al. (§V-A) |
 //! | [`genetic`] | surrogate-assisted genetic search | DAC \[31\] |
 //! | [`bestconfig`] | divide-&-diverge + recursive bound-&-search | BestConfig \[35\] |
 //! | [`rtree`] | regression-tree surrogate search | Wang et al. \[29\] |
@@ -17,7 +17,6 @@
 //! | [`ernest`] | analytic machine-scaling model | Ernest \[28\] |
 //! | [`rl`] | ε-greedy Q-learning over parameter nudges | Bu et al. \[11\] |
 
-pub mod additive_bo;
 pub mod bestconfig;
 pub mod bo;
 pub mod ernest;
@@ -38,7 +37,6 @@ use crate::executor::{DegradationReport, RetryPolicy, TrialOutcome};
 use crate::faults::FaultInjector;
 use crate::objective::{Objective, Observation};
 
-pub use additive_bo::AdditiveBayesOpt;
 pub use bestconfig::BestConfig;
 pub use bo::BayesOpt;
 pub use ernest::Ernest;
@@ -178,7 +176,7 @@ impl TunerKind {
             TunerKind::Lhs => Box::new(LhsSearch::new(16)),
             TunerKind::HillClimb => Box::new(HillClimb::new()),
             TunerKind::BayesOpt => Box::new(BayesOpt::new()),
-            TunerKind::AdditiveBayesOpt => Box::new(AdditiveBayesOpt::new()),
+            TunerKind::AdditiveBayesOpt => Box::new(BayesOpt::additive()),
             TunerKind::Genetic => Box::new(Genetic::new()),
             TunerKind::BestConfig => Box::new(BestConfig::new(12)),
             TunerKind::RegressionTree => Box::new(RegressionTreeTuner::new()),
@@ -215,8 +213,7 @@ impl std::fmt::Display for TunerKind {
 /// The result of one tuning session.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TuningOutcome {
-    /// Every observation, in evaluation order (warm-start observations
-    /// excluded).
+    /// Every observation, in evaluation order.
     pub history: Vec<Observation>,
     /// The best successful observation, if any run succeeded.
     pub best: Option<Observation>,
@@ -328,7 +325,6 @@ pub struct TuningSession {
     tuner: Box<dyn Tuner>,
     rng: StdRng,
     seed: u64,
-    warm: Vec<Observation>,
     policy: RetryPolicy,
     injector: FaultInjector,
     resilient: bool,
@@ -346,7 +342,6 @@ impl TuningSession {
             tuner,
             rng: StdRng::seed_from_u64(seed),
             seed,
-            warm: Vec::new(),
             policy: RetryPolicy::default(),
             injector: FaultInjector::none(),
             resilient: false,
@@ -363,14 +358,6 @@ impl TuningSession {
         self.policy = policy;
         self.injector = injector;
         self.resilient = true;
-        self
-    }
-
-    /// Seeds the session with transferred observations (§V-B): they are
-    /// visible to the strategy but not charged against the budget and
-    /// not reported in the outcome history.
-    pub fn warm_start(&mut self, observations: Vec<Observation>) -> &mut Self {
-        self.warm = observations;
         self
     }
 
@@ -419,13 +406,9 @@ impl TuningSession {
         let mut executor = crate::executor::TrialExecutor::new(self.seed ^ 0xE0E0_7A17)
             .with_resilience(self.policy, self.injector);
         let mut report = DegradationReport::default();
-        // The strategy sees the warm-start prefix followed by this
-        // session's observations; the outcome reports only the latter.
-        let warm_len = self.warm.len();
-        let mut visible = Vec::with_capacity(warm_len + budget);
-        visible.extend_from_slice(&self.warm);
-        while visible.len() - warm_len < budget {
-            let done = visible.len() - warm_len;
+        let mut history: Vec<Observation> = Vec::with_capacity(budget);
+        while history.len() < budget {
+            let done = history.len();
             let q = batch.min(budget - done);
             let mut round = obs::span(round_name).with("idx", done);
             if !sequential {
@@ -435,7 +418,7 @@ impl TuningSession {
                 let _propose = obs::span(propose_name);
                 reg.histogram(propose_hist).time(|| {
                     self.tuner
-                        .propose_batch(objective.space(), &visible, q, &mut self.rng)
+                        .propose_batch(objective.space(), &history, q, &mut self.rng)
                 })
             };
             if cfgs.is_empty() {
@@ -466,7 +449,7 @@ impl TuningSession {
             if !sequential {
                 round.record("ok", (observed.len() - failed) as f64);
             }
-            visible.extend(observed);
+            history.extend(observed);
             if self.resilient && round_failures > self.policy.round_failure_budget {
                 report.budget_exhausted = true;
                 reg.counter("session.budget_exhausted").inc();
@@ -478,7 +461,6 @@ impl TuningSession {
             }
         }
         report.quarantined = executor.quarantined_count();
-        let history = visible.split_off(warm_len);
         let best = best_observation(&history).cloned();
         if let Some(b) = &best {
             obs::instant(

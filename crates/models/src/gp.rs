@@ -3,7 +3,6 @@
 //! (§V-A: interpretable, per-dimension decomposable models).
 
 use crate::linalg::{LinalgError, Matrix};
-use crate::par;
 use crate::stats::{mean, normal_cdf, normal_pdf, std_dev};
 
 /// Covariance kernels over `[0,1]^d` feature vectors.
@@ -160,19 +159,20 @@ fn standardize(y: &[f64]) -> (f64, f64, Vec<f64>) {
     (y_mean, y_std, ys)
 }
 
-/// Kernel Gram matrix of `x` — *without* the observation-noise
-/// diagonal, so one build can serve every noise grid point.
-fn kernel_gram(x: &[Vec<f64>], kernel: Kernel) -> Matrix {
+/// Rows `from..x.len()` of the kernel matrix of `x`, as a
+/// `(x.len() - from) × x.len()` block for [`Matrix::cholesky_grow`]:
+/// entries on and left of the diagonal are filled, *without* the
+/// observation-noise diagonal, so one build can serve every noise grid
+/// point.
+fn kernel_rows(x: &[Vec<f64>], from: usize, kernel: Kernel) -> Matrix {
     let n = x.len();
-    let mut k = Matrix::zeros(n, n);
-    for i in 0..n {
+    let mut rows = Matrix::zeros(n - from, n);
+    for i in from..n {
         for j in 0..=i {
-            let v = kernel.eval(&x[i], &x[j]);
-            k[(i, j)] = v;
-            k[(j, i)] = v;
+            rows[(i - from, j)] = kernel.eval(&x[i], &x[j]);
         }
     }
-    k
+    rows
 }
 
 /// GP weights and log marginal likelihood from an existing Cholesky
@@ -185,44 +185,6 @@ fn gp_weights(chol: &Matrix, ys: &[f64]) -> (Vec<f64>, f64) {
     let log_det: f64 = (0..n).map(|i| chol[(i, i)].ln()).sum();
     let lml = -0.5 * data_fit - log_det - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
     (alpha, lml)
-}
-
-/// Factorizes `gram + (noise + 1e-8)·I` and solves for the GP weights.
-fn factorize(
-    gram: &Matrix,
-    noise: f64,
-    ys: &[f64],
-) -> Result<(Matrix, Vec<f64>, f64), LinalgError> {
-    let mut k = gram.clone();
-    for i in 0..k.rows() {
-        k[(i, i)] += noise + 1e-8;
-    }
-    let chol = k.cholesky()?;
-    let (alpha, lml) = gp_weights(&chol, ys);
-    Ok((chol, alpha, lml))
-}
-
-/// Factorizes the whole `fit_auto` grid, building each length scale's
-/// Gram matrix once and refactorizing per noise level (5 builds instead
-/// of 15). Length scales fan out over `threads` scoped workers; the
-/// returned vector is in deterministic ls-major grid order regardless
-/// of the thread count. `None` marks grid points whose kernel matrix is
-/// not positive definite.
-#[allow(clippy::type_complexity)]
-fn grid_factorize(
-    x: &[Vec<f64>],
-    ys: &[f64],
-    base: Kernel,
-    threads: usize,
-) -> Vec<Option<(Matrix, Vec<f64>, f64)>> {
-    par::par_map_threads(&LS_GRID, threads, |&ls| {
-        let kernel = base.with_length_scale(ls);
-        let gram = kernel_gram(x, kernel);
-        NOISE_GRID.map(|noise| factorize(&gram, noise, ys).ok())
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 impl GpRegressor {
@@ -241,7 +203,12 @@ impl GpRegressor {
         assert!(!x.is_empty(), "GP needs at least one observation");
         assert_eq!(x.len(), y.len(), "X and y length mismatch");
         let (y_mean, y_std, ys) = standardize(y);
-        let (chol, alpha, lml) = factorize(&kernel_gram(x, kernel), noise, &ys)?;
+        let mut k = kernel_rows(x, 0, kernel);
+        for i in 0..x.len() {
+            k[(i, i)] += noise + 1e-8;
+        }
+        let chol = k.cholesky()?;
+        let (alpha, lml) = gp_weights(&chol, &ys);
         Ok(GpRegressor {
             kernel,
             noise,
@@ -256,28 +223,14 @@ impl GpRegressor {
 
     /// Fits a GP selecting length scale and noise by maximizing the log
     /// marginal likelihood over a small grid — the pragmatic
-    /// hyperparameter treatment CherryPick-style tuners use.
-    ///
-    /// The grid is evaluated in parallel ([`par::num_threads`] scoped
-    /// workers, one Gram matrix per length scale shared across noise
-    /// levels); the selected model is identical to a sequential scan of
-    /// the grid regardless of the thread count.
+    /// hyperparameter treatment CherryPick-style tuners use. This is the
+    /// fit of a fresh [`GpFitCache`].
     ///
     /// # Panics
     ///
     /// Panics if `x` is empty or lengths mismatch.
     pub fn fit_auto(x: &[Vec<f64>], y: &[f64], base: Kernel) -> Self {
-        Self::fit_auto_threads(x, y, base, par::num_threads())
-    }
-
-    /// [`GpRegressor::fit_auto`] with an explicit worker count
-    /// (equivalence tests pin this; `1` is a fully sequential fit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty or lengths mismatch.
-    pub fn fit_auto_threads(x: &[Vec<f64>], y: &[f64], base: Kernel, threads: usize) -> Self {
-        GpFitCache::default().refit_full(x, y, base, threads)
+        GpFitCache::new().fit_auto(x, y, base).0
     }
 
     /// Posterior predictive mean and standard deviation at `q`.
@@ -340,33 +293,36 @@ impl GpRegressor {
     }
 }
 
-/// Which path a cached `fit_auto` took.
+/// Where a cached `fit_auto` grew its factors from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitKind {
-    /// Full grid refit: O(n³) per grid point.
+    /// Grown from zero rows (cold cache, or the cached prefix was
+    /// invalidated): O(n³) per grid point.
     Full,
-    /// Incremental update of cached factors: O(n²) per grid point.
+    /// Grown from the cached prefix by the new rows only: O(k·n²) per
+    /// grid point for `k` new rows.
     Incremental,
 }
 
-/// Incremental surrogate cache for the `fit_auto` grid.
+/// The `fit_auto` grid fit, with its Cholesky factors kept between fits.
 ///
 /// A Bayesian-optimization loop refits its GP on every proposal, but
 /// between consecutive proposals the history usually only *grows* by
-/// the point just evaluated. This cache keeps the Cholesky factor of
-/// every `(length scale, noise)` grid point; when the new training set
-/// extends the cached one, each factor is grown with
-/// [`Matrix::cholesky_append`] in O(n²) instead of refactorized in
-/// O(n³), and hyperparameter selection reruns over the updated factors.
+/// the points just evaluated. This cache keeps the Cholesky factor of
+/// every `(length scale, noise)` grid point and grows each with
+/// [`Matrix::cholesky_grow`] by the rows it has not yet factored: only
+/// the new suffix when the training set extends the cached one, all of
+/// them otherwise. Each length scale's new kernel rows are built once
+/// and shared by its noise levels; hyperparameter selection then reruns
+/// over the grown factors.
 ///
 /// Invalidation rule: a different base kernel, or a history that shrank
-/// or diverged from the cached prefix, triggers a full refit (which
-/// also repopulates the cache).
+/// or diverged from the cached prefix, drops the cached factors, so the
+/// fit grows them from zero rows.
 ///
-/// Both paths produce bit-for-bit the model an uncached
-/// [`GpRegressor::fit_auto`] would select: appended rows reproduce the
-/// exact arithmetic of a from-scratch factorization, and selection
-/// scans the grid in the same order.
+/// Either way the model is bit for bit the one a cold fit selects:
+/// growth computes every row with the same arithmetic whatever the
+/// prefix, and selection scans the grid in the same order.
 #[derive(Debug, Clone, Default)]
 pub struct GpFitCache {
     state: Option<CacheState>,
@@ -397,29 +353,15 @@ impl GpFitCache {
         self.state.as_ref().map_or(0, |s| s.x.len())
     }
 
-    /// Cached [`GpRegressor::fit_auto`]: incremental when the training
-    /// set extends the cached one under the same base kernel, full grid
-    /// refit otherwise.
+    /// [`GpRegressor::fit_auto`], growing the cached factors: from the
+    /// cached prefix when the training set extends it under the same
+    /// base kernel ([`FitKind::Incremental`]), from zero rows otherwise
+    /// ([`FitKind::Full`]).
     ///
     /// # Panics
     ///
     /// Panics if `x` is empty or lengths mismatch.
     pub fn fit_auto(&mut self, x: &[Vec<f64>], y: &[f64], base: Kernel) -> (GpRegressor, FitKind) {
-        self.fit_auto_threads(x, y, base, par::num_threads())
-    }
-
-    /// [`GpFitCache::fit_auto`] with an explicit worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty or lengths mismatch.
-    pub fn fit_auto_threads(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        base: Kernel,
-        threads: usize,
-    ) -> (GpRegressor, FitKind) {
         assert!(!x.is_empty(), "GP needs at least one observation");
         assert_eq!(x.len(), y.len(), "X and y length mismatch");
         let hit = self
@@ -427,44 +369,35 @@ impl GpFitCache {
             .as_ref()
             .is_some_and(|s| s.base == base && x.len() >= s.x.len() && x[..s.x.len()] == s.x[..]);
         if !hit {
-            return (self.refit_full(x, y, base, threads), FitKind::Full);
-        }
-
-        let state = self.state.as_mut().expect("hit implies cached state");
-        let n_old = state.x.len();
-        let new_points = &x[n_old..];
-        if !new_points.is_empty() {
-            // Grow every factor by the appended points; length scales
-            // fan out in parallel, noise levels share each new kernel
-            // row (its off-diagonal entries don't involve the noise).
-            let chols = std::mem::take(&mut state.chols);
-            let mut it = chols.into_iter();
-            let items: Vec<(f64, Vec<Option<Matrix>>)> = LS_GRID
-                .iter()
-                .map(|&ls| (ls, (&mut it).take(NOISE_GRID.len()).collect()))
-                .collect();
-            let grown = par::par_map_threads(&items, threads, |(ls, group)| {
-                let kernel = base.with_length_scale(*ls);
-                let mut group = group.clone();
-                for (p, q) in new_points.iter().enumerate() {
-                    let j = n_old + p;
-                    let row: Vec<f64> = x[..j].iter().map(|xi| kernel.eval(xi, q)).collect();
-                    let kqq = kernel.eval(q, q);
-                    for (slot, &noise) in group.iter_mut().zip(&NOISE_GRID) {
-                        *slot = slot
-                            .take()
-                            .and_then(|chol| chol.cholesky_append(&row, kqq + (noise + 1e-8)).ok());
-                    }
-                }
-                group
+            self.state = Some(CacheState {
+                base,
+                x: Vec::new(),
+                chols: vec![Some(Matrix::zeros(0, 0)); LS_GRID.len() * NOISE_GRID.len()],
             });
-            state.chols = grown.into_iter().flatten().collect();
-            state.x = x.to_vec();
+        }
+        let state = self.state.as_mut().expect("state was just set");
+
+        let n_old = state.x.len();
+        if x.len() > n_old {
+            let factors = state.chols.chunks_mut(NOISE_GRID.len());
+            for (&ls, group) in LS_GRID.iter().zip(factors) {
+                // The new rows' off-diagonal entries don't involve the
+                // noise: build them once, then set each level's diagonal.
+                let mut rows = kernel_rows(x, n_old, base.with_length_scale(ls));
+                let diag: Vec<f64> = (n_old..x.len()).map(|i| rows[(i - n_old, i)]).collect();
+                for (slot, &noise) in group.iter_mut().zip(&NOISE_GRID) {
+                    for (p, &kqq) in diag.iter().enumerate() {
+                        rows[(p, n_old + p)] = kqq + (noise + 1e-8);
+                    }
+                    *slot = slot.take().and_then(|chol| chol.cholesky_grow(&rows).ok());
+                }
+            }
+            state.x.extend_from_slice(&x[n_old..]);
         }
 
-        // Re-run hyperparameter selection over the grown factors (the
-        // weights must be recomputed even for old points: target
-        // standardization depends on the full `y`).
+        // Select the grid point by log marginal likelihood (the weights
+        // are recomputed even for old points: target standardization
+        // depends on the full `y`).
         let (y_mean, y_std, ys) = standardize(y);
         let mut best: Option<(usize, Vec<f64>, f64)> = None;
         for (g, slot) in state.chols.iter().enumerate() {
@@ -489,54 +422,12 @@ impl GpFitCache {
             None => GpRegressor::fit(x, y, base.with_length_scale(1.0), 1.0)
                 .expect("regularized GP fit cannot fail"),
         };
-        (gp, FitKind::Incremental)
-    }
-
-    /// Full grid fit; repopulates the cache as a side effect.
-    fn refit_full(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        base: Kernel,
-        threads: usize,
-    ) -> GpRegressor {
-        assert!(!x.is_empty(), "GP needs at least one observation");
-        assert_eq!(x.len(), y.len(), "X and y length mismatch");
-        let (y_mean, y_std, ys) = standardize(y);
-        let fits = grid_factorize(x, &ys, base, threads);
-        let mut chols: Vec<Option<Matrix>> = Vec::with_capacity(fits.len());
-        let mut best: Option<(usize, Vec<f64>, f64)> = None;
-        for (g, slot) in fits.into_iter().enumerate() {
-            match slot {
-                Some((chol, alpha, lml)) => {
-                    if best.as_ref().is_none_or(|b| lml > b.2) {
-                        best = Some((g, alpha, lml));
-                    }
-                    chols.push(Some(chol));
-                }
-                None => chols.push(None),
-            }
-        }
-        let gp = match best {
-            Some((g, alpha, lml)) => GpRegressor {
-                kernel: base.with_length_scale(LS_GRID[g / NOISE_GRID.len()]),
-                noise: NOISE_GRID[g % NOISE_GRID.len()],
-                x: x.to_vec(),
-                chol: chols[g].clone().expect("best slot is Some"),
-                alpha,
-                y_mean,
-                y_std,
-                lml,
-            },
-            None => GpRegressor::fit(x, y, base.with_length_scale(1.0), 1.0)
-                .expect("regularized GP fit cannot fail"),
+        let kind = if hit {
+            FitKind::Incremental
+        } else {
+            FitKind::Full
         };
-        self.state = Some(CacheState {
-            base,
-            x: x.to_vec(),
-            chols,
-        });
-        gp
+        (gp, kind)
     }
 }
 

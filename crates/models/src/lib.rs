@@ -14,10 +14,11 @@
 //!   similarity retrieval;
 //! * [`changepoint`] — Page–Hinkley / CUSUM drift detectors and the
 //!   fixed-threshold baseline (§V-D re-tuning detection);
-//! * [`linalg`] — the small dense linear algebra (Cholesky, ridge
-//!   solves) the above need;
-//! * [`par`] — scoped-thread fork/join helpers the fitting hot paths
-//!   fan out over (`SEAMLESS_THREADS` overrides the worker count);
+//! * [`linalg`] — the small dense linear algebra (Cholesky factor
+//!   growth, ridge solves) the above need;
+//! * [`par`] — scoped-thread fork/join helpers that forest induction
+//!   and acquisition scoring fan out over (`SEAMLESS_THREADS` overrides
+//!   the worker count);
 //! * [`stats`] — shared statistics helpers.
 
 pub mod changepoint;

@@ -128,19 +128,56 @@ impl Matrix {
     }
 
     /// Cholesky decomposition `A = L Lᵀ` of a symmetric positive-definite
-    /// matrix; returns the lower-triangular `L`.
+    /// matrix; returns the lower-triangular `L`. This is
+    /// [`Matrix::cholesky_grow`] from an empty factor, so only the lower
+    /// triangle of `self` (diagonal included) is read.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotPositiveDefinite`] when a pivot is
     /// non-positive (after a tiny jitter tolerance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not square.
     pub fn cholesky(&self) -> Result<Matrix, LinalgError> {
         assert_eq!(self.rows, self.cols, "cholesky needs a square matrix");
+        Matrix::zeros(0, 0).cholesky_grow(self)
+    }
+
+    /// Grows a Cholesky factor by `k` rows: given `self = L` with
+    /// `L Lᵀ = A` (n × n) and `rows`, the last `k` rows of the grown
+    /// symmetric matrix (`k × (n + k)`; only entries on or left of the
+    /// diagonal are read), returns the `(n + k) × (n + k)` factor in
+    /// O(k·(n + k)²) instead of refactorizing in O((n + k)³).
+    ///
+    /// Every row is computed with the same operations, in the same
+    /// order, whatever `n` is, so growing a factor row by row, several
+    /// rows at once, or from an empty factor ([`Matrix::cholesky`])
+    /// gives bit-for-bit the same result.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NotPositiveDefinite`] with the index (in
+    /// the grown matrix) of the first non-positive pivot, after a tiny
+    /// jitter tolerance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not square or `rows.cols() != n + k`.
+    pub fn cholesky_grow(&self, rows: &Matrix) -> Result<Matrix, LinalgError> {
+        assert_eq!(self.rows, self.cols, "cholesky_grow needs a square L");
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
+        let m = n + rows.rows;
+        assert_eq!(rows.cols, m, "new rows must span the grown matrix");
+        let mut l = Matrix::zeros(m, m);
         for i in 0..n {
+            l.data[i * m..i * m + n].copy_from_slice(self.row(i));
+        }
+        for i in n..m {
+            let a = rows.row(i - n);
             for j in 0..=i {
-                let mut sum = self[(i, j)];
+                let mut sum = a[j];
                 for k in 0..j {
                     sum -= l[(i, k)] * l[(j, k)];
                 }
@@ -154,49 +191,6 @@ impl Matrix {
                 }
             }
         }
-        Ok(l)
-    }
-
-    /// Incremental Cholesky: given `self = L` with `L Lᵀ = A` (n × n),
-    /// returns the factor of the bordered matrix
-    /// `[[A, a], [aᵀ, d]]` in O(n²) instead of refactorizing in O(n³).
-    ///
-    /// The appended row is computed with the same operations, in the
-    /// same order, as [`Matrix::cholesky`] would use for its last row,
-    /// so the result is bit-for-bit identical to a from-scratch
-    /// factorization of the grown matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotPositiveDefinite`] when the new pivot
-    /// is non-positive (same tolerance as [`Matrix::cholesky`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not square or `a.len() != self.rows()`.
-    pub fn cholesky_append(&self, a: &[f64], d: f64) -> Result<Matrix, LinalgError> {
-        assert_eq!(self.rows, self.cols, "cholesky_append needs a square L");
-        let n = self.rows;
-        assert_eq!(a.len(), n, "border column length mismatch");
-        let mut l = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            l.data[i * (n + 1)..i * (n + 1) + n].copy_from_slice(self.row(i));
-        }
-        for j in 0..n {
-            let mut sum = a[j];
-            for k in 0..j {
-                sum -= l[(n, k)] * l[(j, k)];
-            }
-            l[(n, j)] = sum / l[(j, j)];
-        }
-        let mut sum = d;
-        for k in 0..n {
-            sum -= l[(n, k)] * l[(n, k)];
-        }
-        if sum <= 1e-12 {
-            return Err(LinalgError::NotPositiveDefinite { pivot: n });
-        }
-        l[(n, n)] = sum.sqrt();
         Ok(l)
     }
 
@@ -376,37 +370,61 @@ mod tests {
         assert!(w1 < w0 && w1 > 0.0);
     }
 
-    #[test]
-    fn cholesky_append_matches_full_factorization() {
-        let a4 = Matrix::from_vec(
-            4,
-            4,
-            vec![
-                6., 2., 1., 0.5, 2., 5., 2., 0.2, 1., 2., 4., 0.1, 0.5, 0.2, 0.1, 3.,
-            ],
-        );
-        let a3 = Matrix::from_vec(3, 3, vec![6., 2., 1., 2., 5., 2., 1., 2., 4.]);
-        let grown = a3
-            .cholesky()
-            .unwrap()
-            .cholesky_append(&[0.5, 0.2, 0.1], 3.0)
-            .unwrap();
-        let full = a4.cholesky().unwrap();
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(grown[(i, j)], full[(i, j)], "mismatch at ({i}, {j})");
-            }
-        }
+    const A4: [f64; 16] = [
+        6., 2., 1., 0.5, 2., 5., 2., 0.2, 1., 2., 4., 0.1, 0.5, 0.2, 0.1, 3.,
+    ];
+
+    /// Rows `from..4` of `A4` as a `(4 - from) × 4` block.
+    fn a4_rows(from: usize) -> Matrix {
+        Matrix::from_vec(4 - from, 4, A4[from * 4..].to_vec())
+    }
+
+    /// The factor of `A4`'s leading `n × n` minor.
+    fn a4_minor_factor(n: usize) -> Matrix {
+        let minor: Vec<f64> = (0..n).flat_map(|i| A4[i * 4..i * 4 + n].to_vec()).collect();
+        Matrix::from_vec(n, n, minor).cholesky().unwrap()
     }
 
     #[test]
-    fn cholesky_append_rejects_indefinite_border() {
-        let a = Matrix::from_vec(2, 2, vec![4., 2., 2., 3.]);
-        let l = a.cholesky().unwrap();
-        // Border making the matrix singular: new point equals row 0.
+    fn cholesky_grow_by_one_row_matches_full_factorization() {
+        let grown = a4_minor_factor(3).cholesky_grow(&a4_rows(3)).unwrap();
+        assert_eq!(
+            grown,
+            Matrix::from_vec(4, 4, A4.to_vec()).cholesky().unwrap()
+        );
+    }
+
+    #[test]
+    fn cholesky_grow_by_several_rows_matches_full_factorization() {
+        let full = Matrix::from_vec(4, 4, A4.to_vec()).cholesky().unwrap();
+        for n in 1..4 {
+            let grown = a4_minor_factor(n).cholesky_grow(&a4_rows(n)).unwrap();
+            assert_eq!(grown, full, "grown from {n} rows");
+        }
+        // From an empty factor, growth is the full factorization.
+        assert_eq!(
+            Matrix::zeros(0, 0).cholesky_grow(&a4_rows(0)).unwrap(),
+            full
+        );
+    }
+
+    #[test]
+    fn cholesky_grow_reports_the_failing_pivot() {
+        let l = Matrix::from_vec(2, 2, vec![4., 2., 2., 3.])
+            .cholesky()
+            .unwrap();
+        // One new row equal to row 0: the grown matrix is singular.
+        let one = Matrix::from_vec(1, 3, vec![4., 2., 4.]);
         assert!(matches!(
-            l.cholesky_append(&[4., 2.], 4.0),
+            l.cholesky_grow(&one),
             Err(LinalgError::NotPositiveDefinite { pivot: 2 })
+        ));
+        // Two new rows, the second a copy of row 1: the first new pivot
+        // is fine, the failure names the second.
+        let two = Matrix::from_vec(2, 4, vec![1., 1., 2., 0., 2., 3., 1., 3.]);
+        assert!(matches!(
+            l.cholesky_grow(&two),
+            Err(LinalgError::NotPositiveDefinite { pivot: 3 })
         ));
     }
 

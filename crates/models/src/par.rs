@@ -1,9 +1,15 @@
-//! Scoped-thread data parallelism for the model-fitting hot paths.
+//! Scoped-thread data parallelism for the model and trial hot paths.
 //!
-//! The tuning service refits surrogates on every proposal, so the
-//! fit/predict loops are provider-side overhead that scales with tenant
-//! traffic (§IV). This module gives the model crates a tiny, dependency
-//! -light fork/join layer over `crossbeam::thread::scope`:
+//! The tuning service refits surrogates on every proposal, so model
+//! work is provider-side overhead that scales with tenant traffic
+//! (§IV). This module gives the crates a tiny, dependency-light
+//! fork/join layer over `crossbeam::thread::scope`, used by per-tree
+//! forest induction, EI candidate scoring, the executor's trial rounds
+//! and the service's tenant fan-out. The GP hyperparameter grid is not
+//! among them: [`crate::GpFitCache`] grows its 15 factors on the calling
+//! thread, because forking 5 length scales cost more than the
+//! factorizations (traced perfbench on 2 vCPUs put the fit at
+//! 0.33–0.43 ms per tune on one thread against 1.5–2.9 ms fanned out).
 //!
 //! * [`par_map`] — order-preserving parallel map over a slice;
 //! * [`par_chunks`] — order-preserving parallel flat-map over contiguous

@@ -1,7 +1,8 @@
 //! Property-based tests for the model crate's numerical invariants.
 
 use models::{
-    expected_improvement, GpRegressor, Kernel, Matrix, RandomForest, RegressionTree, TreeParams,
+    expected_improvement, GpRegressor, Kernel, LinalgError, Matrix, RandomForest, RegressionTree,
+    TreeParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,6 +17,18 @@ fn psd(n: usize, seed: u64) -> Matrix {
         a[(i, i)] += 0.1;
     }
     a
+}
+
+/// The leading `n × n` principal minor of `a`.
+fn minor(a: &Matrix, n: usize) -> Matrix {
+    let data = (0..n).flat_map(|i| a.row(i)[..n].to_vec()).collect();
+    Matrix::from_vec(n, n, data)
+}
+
+/// Rows `n..` of `a`: the rows that grow its minor's factor.
+fn tail_rows(a: &Matrix, n: usize) -> Matrix {
+    let data = (n..a.rows()).flat_map(|i| a.row(i).to_vec()).collect();
+    Matrix::from_vec(a.rows() - n, a.cols(), data)
 }
 
 fn dataset(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -46,31 +59,31 @@ proptest! {
         }
     }
 
-    /// Appending a row to an existing Cholesky factor matches the
-    /// from-scratch factorization of the bordered matrix.
+    /// Growing the factor of a leading principal minor by the remaining
+    /// `k` rows, one or several at once, reproduces the from-scratch
+    /// factorization bit for bit.
     #[test]
-    fn cholesky_append_matches_full(seed in any::<u64>(), n in 2usize..8) {
-        let big = psd(n + 1, seed);
-        // Leading n×n principal minor and its border.
-        let small = Matrix::from_vec(
-            n, n,
-            (0..n).flat_map(|i| (0..n).map(move |j| (i, j)))
-                .map(|(i, j)| big[(i, j)]).collect(),
-        );
-        let a: Vec<f64> = (0..n).map(|j| big[(n, j)]).collect();
-        let d = big[(n, n)];
+    fn cholesky_grow_matches_full(seed in any::<u64>(), n in 1usize..7, k in 1usize..4) {
+        let big = psd(n + k, seed);
+        let l_small = minor(&big, n).cholesky().expect("principal minor of psd");
+        let grown = l_small.cholesky_grow(&tail_rows(&big, n)).expect("psd");
+        prop_assert_eq!(grown, big.cholesky().expect("psd"));
+    }
 
-        let l_small = small.cholesky().expect("principal minor of psd");
-        let appended = l_small.cholesky_append(&a, d).expect("psd border");
-        let full = big.cholesky().expect("psd");
-        for i in 0..=n {
-            for j in 0..=n {
-                prop_assert!(
-                    (appended[(i, j)] - full[(i, j)]).abs() < 1e-9,
-                    "L[{i},{j}] {} vs {}", appended[(i, j)], full[(i, j)]
-                );
-            }
-        }
+    /// A new row whose diagonal entry is zeroed cannot have a positive
+    /// pivot: growth fails, naming that row's index in the grown matrix.
+    #[test]
+    fn cholesky_grow_names_the_failing_pivot(
+        seed in any::<u64>(), n in 1usize..7, k in 1usize..4, bad in 0usize..3,
+    ) {
+        let bad = n + bad % k;
+        let mut big = psd(n + k, seed);
+        big[(bad, bad)] = 0.0;
+        let l_small = minor(&big, n).cholesky().expect("principal minor of psd");
+        prop_assert_eq!(
+            l_small.cholesky_grow(&tail_rows(&big, n)),
+            Err(LinalgError::NotPositiveDefinite { pivot: bad })
+        );
     }
 
     /// Triangular solves invert the factorization: A·x == b.

@@ -3,8 +3,9 @@
 //! The parallel layer (`models::par`) and the incremental fit cache
 //! (`models::GpFitCache`) are pure performance features: every result
 //! they produce must be bit-for-bit identical to the sequential,
-//! from-scratch computation. These tests pin that contract across
-//! thread counts 1, 2 and 8 and across warm/cold cache states.
+//! from-scratch computation. These tests pin that contract for the
+//! forest across thread counts 1, 2 and 8, and for the GP grid fit
+//! across warm and cold cache states.
 
 use models::{FitKind, ForestParams, GpFitCache, GpRegressor, Kernel, RandomForest};
 use rand::rngs::StdRng;
@@ -33,28 +34,6 @@ const BASE: Kernel = Kernel::Matern52 {
     length_scale: 0.4,
     variance: 1.0,
 };
-
-#[test]
-fn fit_auto_is_identical_across_thread_counts() {
-    let (x, y) = dataset(40, 5, 11);
-    let qs = queries(16, 5, 12);
-    let seq = GpRegressor::fit_auto_threads(&x, &y, BASE, 1);
-    for threads in [2usize, 8] {
-        let par = GpRegressor::fit_auto_threads(&x, &y, BASE, threads);
-        assert_eq!(
-            seq.log_marginal_likelihood(),
-            par.log_marginal_likelihood(),
-            "lml differs at {threads} threads"
-        );
-        for q in &qs {
-            assert_eq!(
-                seq.predict(q),
-                par.predict(q),
-                "prediction differs at {threads} threads"
-            );
-        }
-    }
-}
 
 #[test]
 fn forest_fit_is_identical_across_thread_counts() {
@@ -103,27 +82,46 @@ fn predict_batch_matches_predict_loop() {
 fn incremental_cache_matches_full_refit_exactly() {
     // Grow a history one point at a time; after the first fit every
     // step should be an incremental cache hit whose fitted GP is
-    // bit-for-bit identical to an uncached from-scratch fit_auto.
+    // bit-for-bit identical to an uncached from-scratch fit_auto, for
+    // every kernel family (the sensitivity analysis fits additive
+    // kernels through the same grid path).
+    let kernels = [
+        BASE,
+        Kernel::SquaredExp {
+            length_scale: 0.4,
+            variance: 1.0,
+        },
+        Kernel::Additive {
+            length_scale: 0.3,
+            variance: 1.0,
+        },
+    ];
     let (x, y) = dataset(30, 5, 41);
     let qs = queries(12, 5, 42);
-    let mut cache = GpFitCache::new();
-    for n in 10..=x.len() {
-        let (xs, ys) = (&x[..n], &y[..n]);
-        let (cached, kind) = cache.fit_auto(xs, ys, BASE);
-        if n > 10 {
-            assert_eq!(kind, FitKind::Incremental, "n={n} should hit the cache");
+    for base in kernels {
+        let mut cache = GpFitCache::new();
+        for n in 10..=x.len() {
+            let (xs, ys) = (&x[..n], &y[..n]);
+            let (cached, kind) = cache.fit_auto(xs, ys, base);
+            if n > 10 {
+                assert_eq!(kind, FitKind::Incremental, "{base:?}: n={n} should hit");
+            }
+            let fresh = GpRegressor::fit_auto(xs, ys, base);
+            assert_eq!(
+                cached.log_marginal_likelihood(),
+                fresh.log_marginal_likelihood(),
+                "{base:?}: lml diverges at n={n}"
+            );
+            for q in &qs {
+                assert_eq!(
+                    cached.predict(q),
+                    fresh.predict(q),
+                    "{base:?}: diverges at n={n}"
+                );
+            }
         }
-        let fresh = GpRegressor::fit_auto(xs, ys, BASE);
-        assert_eq!(
-            cached.log_marginal_likelihood(),
-            fresh.log_marginal_likelihood(),
-            "lml diverges at n={n}"
-        );
-        for q in &qs {
-            assert_eq!(cached.predict(q), fresh.predict(q), "diverges at n={n}");
-        }
+        assert_eq!(cache.cached_points(), x.len());
     }
-    assert_eq!(cache.cached_points(), x.len());
 }
 
 #[test]
@@ -168,21 +166,5 @@ fn incremental_cache_appends_many_points_at_once() {
     );
     for q in &queries(8, 5, 62) {
         assert_eq!(cached.predict(q), fresh.predict(q));
-    }
-}
-
-#[test]
-fn par_equivalence_holds_for_additive_kernel() {
-    // The sensitivity analysis fits additive-kernel GPs through the
-    // same grid path; pin that family too.
-    let (x, y) = dataset(26, 4, 71);
-    let base = Kernel::Additive {
-        length_scale: 0.3,
-        variance: 1.0,
-    };
-    let seq = GpRegressor::fit_auto_threads(&x, &y, base, 1);
-    let par = GpRegressor::fit_auto_threads(&x, &y, base, 8);
-    for q in &queries(10, 4, 72) {
-        assert_eq!(seq.predict(q), par.predict(q));
     }
 }

@@ -75,21 +75,3 @@ fn tuning_beats_spark_defaults_by_an_order_of_magnitude() {
         tuned
     );
 }
-
-#[test]
-fn warm_start_is_visible_to_the_strategy_but_not_charged() {
-    let mut obj = DiscObjective::new(
-        ClusterSpec::table1_testbed(),
-        Pagerank::new().job(DataScale::Tiny),
-        &SimEnvironment::dedicated(5),
-    );
-    let donated = tune(TunerKind::Random, 10, 21).history;
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 99);
-    session.warm_start(donated);
-    let outcome = session.run(&mut obj, 8, 1);
-    assert_eq!(
-        outcome.history.len(),
-        8,
-        "warm observations are not in the outcome"
-    );
-}
