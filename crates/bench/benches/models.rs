@@ -124,11 +124,34 @@ fn bench_trees(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` points in `d` dimensions scattered tightly around a few random
+/// centres, like the workload signatures a provider's history clusters.
+fn clumpy(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centres: Vec<Vec<f64>> = (0..5)
+        .map(|_| (0..d).map(|_| rng.gen::<f64>()).collect())
+        .collect();
+    (0..n)
+        .map(|i| {
+            centres[i % centres.len()]
+                .iter()
+                .map(|c| c + 0.1 * (rng.gen::<f64>() - 0.5))
+                .collect()
+        })
+        .collect()
+}
+
 fn bench_kmedoids(c: &mut Criterion) {
     let (x, _) = synthetic(60, 8, 11);
     c.bench_function("kmedoids_n60_k4", |b| {
         let mut rng = StdRng::seed_from_u64(4);
         b.iter(|| models::k_medoids(&x, 4, 10, &mut rng));
+    });
+    // The size of a warm provider's cluster build.
+    let x = clumpy(1400, 8, 12);
+    c.bench_function("kmedoids_n1400_k3", |b| {
+        let mut rng = StdRng::seed_from_u64(5);
+        b.iter(|| models::k_medoids(&x, 3, 20, &mut rng));
     });
 }
 

@@ -316,6 +316,9 @@ mod tests {
 #[derive(Debug, Clone)]
 pub struct ClusteredHistory {
     medoids: Vec<WorkloadSignature>,
+    /// Each cluster's records ordered by runtime, equal runtimes in
+    /// arrival order — the order a stable sort of the arrivals by
+    /// runtime gives, so a donor lookup reads a prefix.
     members: Vec<Vec<ExecutionRecord>>,
 }
 
@@ -349,16 +352,22 @@ impl ClusteredHistory {
         for (i, r) in records.into_iter().enumerate() {
             members[clustering.assignment[i]].push(r);
         }
+        for cluster in &mut members {
+            cluster.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
+        }
         ClusteredHistory { medoids, members }
     }
 
     /// Assigns new records to their nearest existing medoid without
     /// re-clustering (medoids drift is handled by the caller's periodic
-    /// full rebuild).
+    /// full rebuild). Each record goes after its cluster's members of
+    /// equal runtime, keeping the cluster in runtime-then-arrival order.
     pub fn absorb(&mut self, fresh: impl IntoIterator<Item = ExecutionRecord>) {
         for r in fresh {
             let c = self.assign(&r.signature);
-            self.members[c].push(r);
+            let cluster = &mut self.members[c];
+            let at = cluster.partition_point(|m| m.runtime_s.total_cmp(&r.runtime_s).is_le());
+            cluster.insert(at, r);
         }
     }
 
@@ -367,7 +376,8 @@ impl ClusteredHistory {
         self.members.iter().map(Vec::len).sum()
     }
 
-    /// Consumes the clustering, returning every member record.
+    /// Consumes the clustering, returning every member record (cluster
+    /// by cluster, each in runtime order).
     pub fn into_records(self) -> Vec<ExecutionRecord> {
         self.members.into_iter().flatten().collect()
     }
@@ -387,16 +397,14 @@ impl ClusteredHistory {
     }
 
     /// The fastest `limit` records from `sig`'s cluster — the donor set
-    /// for a warm start.
+    /// for a warm start. Equal runtimes come in arrival order.
     pub fn donors_for(&self, sig: &WorkloadSignature, limit: usize) -> Vec<ExecutionRecord> {
-        let c = self.assign(sig);
-        let mut records = self.members[c].clone();
-        records.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
-        records.truncate(limit);
-        records
+        let members = &self.members[self.assign(sig)];
+        members[..limit.min(members.len())].to_vec()
     }
 
-    /// The records of cluster `c`.
+    /// The records of cluster `c`, fastest first; equal runtimes in
+    /// arrival order (build input order, then absorb order).
     pub fn cluster_members(&self, c: usize) -> &[ExecutionRecord] {
         &self.members[c]
     }
@@ -722,6 +730,63 @@ mod clustered_tests {
         assert!(donors
             .iter()
             .all(|r| r.outcome == crate::history::RecordOutcome::Ok));
+    }
+
+    #[test]
+    fn members_stay_in_stable_runtime_order_through_absorb() {
+        // Arrival index in `seq`; runtimes repeat so ties must keep
+        // arrival order.
+        let tagged = |seq: u64, cpu: f64, net: f64, runtime: f64| ExecutionRecord {
+            seq,
+            ..record(cpu, net, runtime)
+        };
+        let built: Vec<ExecutionRecord> = (0..12u64)
+            .map(|i| {
+                let runtime = [30.0, 20.0, 30.0][i as usize % 3];
+                if i % 2 == 0 {
+                    tagged(i, 90.0, 5.0, runtime)
+                } else {
+                    tagged(i, 10.0, 80.0, runtime + 40.0)
+                }
+            })
+            .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        use rand::SeedableRng;
+        let mut ch = ClusteredHistory::build_from_records(built, 2, &mut rng);
+        let check = |ch: &ClusteredHistory| {
+            for c in 0..ch.k() {
+                // Clone, restore arrival order, stable-sort by runtime.
+                let mut expect = ch.cluster_members(c).to_vec();
+                expect.sort_by_key(|r| r.seq);
+                expect.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
+                assert_eq!(ch.cluster_members(c), expect.as_slice());
+            }
+            for query in [sig(88.0, 6.0), sig(12.0, 78.0)] {
+                for limit in [0, 1, 3, 100] {
+                    let mut expect = ch.cluster_members(ch.assign(&query)).to_vec();
+                    expect.sort_by_key(|r| r.seq);
+                    expect.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
+                    expect.truncate(limit);
+                    assert_eq!(ch.donors_for(&query, limit), expect);
+                }
+            }
+        };
+        check(&ch);
+        ch.absorb([
+            tagged(12, 89.0, 6.0, 20.0),
+            tagged(13, 11.0, 79.0, 70.0),
+            tagged(14, 91.0, 4.0, 10.0),
+            tagged(15, 89.0, 6.0, 30.0),
+            tagged(16, 88.0, 6.0, 20.0),
+        ]);
+        check(&ch);
+        assert_eq!(ch.len_records(), 17);
+        let fastest: Vec<u64> = ch
+            .donors_for(&sig(88.0, 6.0), 4)
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(fastest, vec![14, 4, 10, 12], "ties in arrival order");
     }
 
     #[test]

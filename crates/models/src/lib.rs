@@ -16,9 +16,9 @@
 //!   fixed-threshold baseline (§V-D re-tuning detection);
 //! * [`linalg`] — the small dense linear algebra (Cholesky factor
 //!   growth, ridge solves) the above need;
-//! * [`par`] — scoped-thread fork/join helpers that forest induction
-//!   and acquisition scoring fan out over (`SEAMLESS_THREADS` overrides
-//!   the worker count);
+//! * [`par`] — scoped-thread fork/join helpers that forest induction,
+//!   acquisition scoring and k-medoids swap scoring fan out over
+//!   (`SEAMLESS_THREADS` overrides the worker count);
 //! * [`stats`] — shared statistics helpers.
 
 pub mod changepoint;

@@ -4,8 +4,8 @@
 //! work is provider-side overhead that scales with tenant traffic
 //! (§IV). This module gives the crates a tiny, dependency-light
 //! fork/join layer over `crossbeam::thread::scope`, used by per-tree
-//! forest induction, EI candidate scoring, the executor's trial rounds
-//! and the service's tenant fan-out. The GP hyperparameter grid is not
+//! forest induction, EI candidate scoring, k-medoids swap scoring, the
+//! executor's trial rounds and the service's tenant fan-out. The GP hyperparameter grid is not
 //! among them: [`crate::GpFitCache`] grows its 15 factors on the calling
 //! thread, because forking 5 length scales cost more than the
 //! factorizations (traced perfbench on 2 vCPUs put the fit at

@@ -244,26 +244,17 @@ impl Registry {
     /// Gets or creates the counter `name`; the handle is cheap to
     /// clone and use from any thread.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(Counter::new)
-            .clone()
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(Gauge::new)
-            .clone()
+        get_or_create(&self.gauges, name, Gauge::new)
     }
 
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(Histogram::new)
-            .clone()
+        get_or_create(&self.histograms, name, Histogram::new)
     }
 
     /// Snapshots every metric, names sorted.
@@ -320,6 +311,16 @@ impl Registry {
             .unwrap_or_else(|e| e.into_inner())
             .clear();
     }
+}
+
+/// The handle registered under `name` in `map`, created by `new` on
+/// first use. A lookup borrows `name`; only a new metric allocates its key.
+fn get_or_create<M: Clone>(map: &Mutex<BTreeMap<String, M>>, name: &str, new: fn() -> M) -> M {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(metric) = map.get(name) {
+        return metric.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(new).clone()
 }
 
 /// The process-global registry used by instrumented crates.
@@ -398,6 +399,23 @@ mod tests {
         let g = reg.gauge("temp");
         g.set(1.25);
         assert_eq!(reg.gauge("temp").get(), 1.25);
+    }
+
+    #[test]
+    fn repeated_lookups_share_one_metric() {
+        let reg = Registry::new();
+        for _ in 0..3 {
+            reg.counter("sim.runs").inc();
+            reg.gauge("sim.load").set(0.5);
+            reg.histogram("sim.step_s").record_ns(1_000);
+        }
+        assert_eq!(reg.counter("sim.runs").get(), 3);
+        assert_eq!(reg.gauge("sim.load").get(), 0.5);
+        assert_eq!(reg.histogram("sim.step_s").snapshot().count, 3);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.histograms.len(), 1);
     }
 
     #[test]

@@ -32,12 +32,15 @@ SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --tes
 # The golden `SeamlessTuner::tune` fingerprints must hold at any worker
 # count: BO acquisition scores its candidate pool on parallel chunks.
 # The cached-vs-uncached BayesOpt proposal sequences pin the same
-# invariance for EI chunk scoring, BO's remaining fan-out.
+# invariance for EI chunk scoring, BO's remaining fan-out, and the
+# k-medoids oracle pins it for the swap candidates scored per worker.
 for threads in 1 2; do
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test tune_fingerprints"
   SEAMLESS_THREADS="${threads}" cargo test -q --test tune_fingerprints
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --test bo_equivalence"
   SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test bo_equivalence
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p models --test kmedoids_oracle"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p models --test kmedoids_oracle
 done
 
 # The chaos suite asserts seed-for-seed reproducible fault injection;
