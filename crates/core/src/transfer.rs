@@ -13,7 +13,7 @@ use rand::RngCore;
 
 use crate::history::{ExecutionRecord, HistoryStore};
 use crate::objective::Observation;
-use crate::tuner::Tuner;
+use crate::tuner::{constant_lie_runtime, Tuner};
 use crate::WorkloadSignature;
 
 /// Builds warm-start observations for a target workload: among the
@@ -115,16 +115,23 @@ impl TransferTuner {
             return false;
         }
         let q = space.encode(&donated_best.config);
-        let mut by_dist: Vec<&&Observation> = ok.iter().collect();
-        by_dist.sort_by(|a, b| {
-            models::stats::dist(&space.encode(&a.config), &q)
-                .total_cmp(&models::stats::dist(&space.encode(&b.config), &q))
-        });
+        // Encode each real run once; the stable sort keeps equal
+        // distances in history order.
+        let mut by_dist: Vec<(f64, f64)> = ok
+            .iter()
+            .map(|o| {
+                (
+                    models::stats::dist(&space.encode(&o.config), &q),
+                    o.runtime_s,
+                )
+            })
+            .collect();
+        by_dist.sort_by(|a, b| a.0.total_cmp(&b.0));
         let near_mean = models::stats::mean(
             &by_dist
                 .iter()
                 .take(3)
-                .map(|o| o.runtime_s)
+                .map(|&(_, runtime_s)| runtime_s)
                 .collect::<Vec<_>>(),
         );
         let Some(observed_best) = ok.iter().map(|o| o.runtime_s).min_by(f64::total_cmp) else {
@@ -148,6 +155,24 @@ impl Tuner for TransferTuner {
         history: &[Observation],
         rng: &mut dyn RngCore,
     ) -> Configuration {
+        self.propose_batch(space, history, 1, rng)
+            .pop()
+            .expect("a batch of one holds one proposal")
+    }
+
+    /// One round under transfer: the donation is validated once, the
+    /// donated incumbent (until probed) leads the batch, and the rest
+    /// of the batch comes from a single `propose_batch` of the inner
+    /// strategy over the donated + real history. A single proposal is
+    /// the first member of this batch.
+    fn propose_batch(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        q: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Configuration> {
+        let q = q.max(1);
         if !self.validated && history.len() >= self.validate_after {
             if self.donation_misleads(space, history) {
                 self.donated.clear();
@@ -157,6 +182,7 @@ impl Tuner for TransferTuner {
 
         // Probe the donated incumbent first: the single cheapest way to
         // cash in a similar workload's tuning knowledge.
+        let mut batch = Vec::with_capacity(q);
         if let Some(donated_best) = self
             .donated
             .iter()
@@ -164,7 +190,10 @@ impl Tuner for TransferTuner {
             .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
         {
             if !history.iter().any(|o| o.config == donated_best.config) {
-                return donated_best.config.clone();
+                batch.push(donated_best.config.clone());
+                if q == 1 {
+                    return batch;
+                }
             }
         }
 
@@ -186,7 +215,7 @@ impl Tuner for TransferTuner {
         } else {
             1.0
         };
-        let augmented: Vec<Observation> = self
+        let mut augmented: Vec<Observation> = self
             .donated
             .iter()
             .map(|o| {
@@ -198,7 +227,20 @@ impl Tuner for TransferTuner {
             })
             .chain(history.iter().cloned())
             .collect();
-        self.inner.propose(space, &augmented, rng)
+        // A probe in this batch is pending: the inner strategy sees it
+        // as a constant-liar observation and spreads the rest away.
+        if let Some(probe) = batch.first() {
+            augmented.push(Observation {
+                config: probe.clone(),
+                runtime_s: constant_lie_runtime(history),
+                cost_usd: 0.0,
+                metrics: None,
+                failure: None,
+            });
+        }
+        let rest = q - batch.len();
+        batch.extend(self.inner.propose_batch(space, &augmented, rest, rng));
+        batch
     }
 
     fn reset(&mut self) {
@@ -213,6 +255,8 @@ mod tests {
     use crate::tuner::BayesOpt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     fn space() -> ParamSpace {
         ParamSpace::new().with(confspace::ParamDef::int("a", 0, 100, 50, ""))
@@ -278,6 +322,90 @@ mod tests {
         ];
         let _ = t.propose(&s, &real, &mut rng);
         assert!(t.donation_active());
+    }
+
+    /// Records every call it gets; proposes `a = 1, 2, …` in order.
+    struct CountingTuner {
+        /// `(q, history length)` of each `propose_batch` call.
+        batches: Rc<RefCell<Vec<(usize, usize)>>>,
+        proposes: Rc<Cell<usize>>,
+        next: i64,
+    }
+
+    impl Tuner for CountingTuner {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn propose(
+            &mut self,
+            space: &ParamSpace,
+            _history: &[Observation],
+            _rng: &mut dyn RngCore,
+        ) -> Configuration {
+            self.proposes.set(self.proposes.get() + 1);
+            self.next += 1;
+            space.default_configuration().with("a", self.next)
+        }
+
+        fn propose_batch(
+            &mut self,
+            space: &ParamSpace,
+            history: &[Observation],
+            q: usize,
+            _rng: &mut dyn RngCore,
+        ) -> Vec<Configuration> {
+            self.batches.borrow_mut().push((q, history.len()));
+            (0..q)
+                .map(|_| {
+                    self.next += 1;
+                    space.default_configuration().with("a", self.next)
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_round_forwards_one_batch_to_the_inner_strategy() {
+        let s = space();
+        let batches = Rc::new(RefCell::new(Vec::new()));
+        let proposes = Rc::new(Cell::new(0));
+        let inner = CountingTuner {
+            batches: Rc::clone(&batches),
+            proposes: Rc::clone(&proposes),
+            next: 0,
+        };
+        // The donated incumbent is a=0, which the inner never proposes.
+        let donated = vec![obs(&s, 0, 5.0), obs(&s, 100, 50.0)];
+        let mut t = TransferTuner::new(Box::new(inner), donated);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut history = Vec::new();
+        let mut probes = 0;
+        for round in 0..3 {
+            let batch = t.propose_batch(&s, &history, 4, &mut rng);
+            assert_eq!(batch.len(), 4, "round {round}: batch length");
+            // Round 0 forwards q − 1 over 2 donated + 1 pending probe;
+            // later rounds forward q over 2 donated + the real runs.
+            let expect = if round == 0 {
+                (3, 3)
+            } else {
+                (4, 2 + 4 * round)
+            };
+            assert_eq!(
+                batches.borrow()[round..],
+                [expect],
+                "round {round}: one inner batch"
+            );
+            for cfg in batch {
+                if cfg.int("a") == 0 {
+                    probes += 1;
+                }
+                history.push(obs(&s, cfg.int("a"), 10.0 + cfg.int("a") as f64));
+            }
+        }
+        assert_eq!(probes, 1, "the donated incumbent is proposed once");
+        assert_eq!(history[0].config.int("a"), 0, "the probe leads its batch");
+        assert_eq!(proposes.get(), 0, "inner.propose is never called");
     }
 
     #[test]

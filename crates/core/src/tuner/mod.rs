@@ -75,7 +75,9 @@ pub trait Tuner {
     /// to the visible history as a fake observation at the incumbent
     /// runtime, so model-based strategies spread the batch instead of
     /// proposing the same point `q` times. Strategies with a natural
-    /// batch (stratified designs, GA generations, q-EI) override this.
+    /// batch (stratified designs, GA generations, q-EI) override this,
+    /// and so does [`TransferTuner`](crate::transfer::TransferTuner),
+    /// which forwards each round to the strategy it wraps.
     fn propose_batch(
         &mut self,
         space: &ParamSpace,

@@ -9,13 +9,13 @@ use std::sync::Arc;
 
 use confspace::{Configuration, ParamDef, ParamSpace};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use seamless_core::objective::{DiscObjective, Objective, SimEnvironment};
 use seamless_core::service::TenantRequest;
-use seamless_core::tuner::{TunerKind, TuningSession};
+use seamless_core::tuner::{Tuner, TunerKind, TuningSession};
 use seamless_core::{
     FaultInjector, FaultPlan, HistoryStore, Observation, RetryPolicy, SeamlessTuner, ServiceConfig,
-    TrialExecutor, TrialOutcome,
+    TransferTuner, TrialExecutor, TrialOutcome,
 };
 use simcluster::ClusterSpec;
 use workloads::{DataScale, Wordcount, Workload};
@@ -64,6 +64,108 @@ fn propose_batch_q1_matches_propose_for_every_tuner() {
             );
             push(&mut seq_hist, a);
             push(&mut batch_hist, batch[0].clone());
+        }
+    }
+}
+
+fn synth_obs(a: i64, b: i64) -> Observation {
+    let config = Configuration::new().with("a", a).with("b", b);
+    Observation {
+        runtime_s: synth_eval(&config),
+        config,
+        cost_usd: 0.0,
+        metrics: None,
+        failure: None,
+    }
+}
+
+#[test]
+fn transfer_propose_batch_q1_matches_propose_for_every_tuner() {
+    let space = synth_space();
+    // The donation claims (0, 100) is best; (70, 30) really is.
+    let donated = vec![
+        Observation {
+            runtime_s: 1.0,
+            ..synth_obs(0, 100)
+        },
+        Observation {
+            runtime_s: 9.0,
+            ..synth_obs(50, 50)
+        },
+        Observation {
+            runtime_s: 30.0,
+            ..synth_obs(100, 0)
+        },
+    ];
+    let near_probe: Vec<Observation> = [(2, 98), (5, 95), (8, 90), (70, 30), (68, 32)]
+        .iter()
+        .map(|&(a, b)| synth_obs(a, b))
+        .collect();
+    // Each state with the history its first round hands the inner
+    // strategy: none while the probe is pending (the probe is the
+    // proposal), the unscaled donation plus one real run once the probe
+    // is done, and the real runs alone once the guard dropped the
+    // donation.
+    let mut seen_after_probe = donated.clone();
+    seen_after_probe.push(synth_obs(0, 100));
+    let states = [
+        ("probe pending", vec![synth_obs(40, 40)], None),
+        (
+            "probe done",
+            vec![synth_obs(0, 100)],
+            Some(seen_after_probe),
+        ),
+        ("donation dropped", near_probe.clone(), Some(near_probe)),
+    ];
+    for kind in TunerKind::all() {
+        for (state, history, inner_sees) in &states {
+            // The first proposal against the sequential reference.
+            let mut ref_rng = StdRng::seed_from_u64(29);
+            let expected = match inner_sees {
+                None => donated[0].config.clone(),
+                Some(seen) => kind.build().propose(&space, seen, &mut ref_rng),
+            };
+            let mut seq = TransferTuner::new(kind.build(), donated.clone());
+            let mut batched = TransferTuner::new(kind.build(), donated.clone());
+            let mut seq_rng = StdRng::seed_from_u64(29);
+            let mut batch_rng = StdRng::seed_from_u64(29);
+            let mut seq_hist = history.clone();
+            let mut batch_hist = history.clone();
+            for i in 0..4 {
+                let a = seq.propose(&space, &seq_hist, &mut seq_rng);
+                let batch = batched.propose_batch(&space, &batch_hist, 1, &mut batch_rng);
+                let draw = seq_rng.next_u64();
+                assert_eq!(
+                    batch,
+                    vec![a.clone()],
+                    "{}, {state}: proposal {i}",
+                    kind.label()
+                );
+                assert_eq!(
+                    draw,
+                    batch_rng.next_u64(),
+                    "{}, {state}: RNG after proposal {i}",
+                    kind.label()
+                );
+                if i == 0 {
+                    assert_eq!(a, expected, "{}, {state}: first proposal", kind.label());
+                    assert_eq!(
+                        draw,
+                        ref_rng.next_u64(),
+                        "{}, {state}: RNG after the first proposal",
+                        kind.label()
+                    );
+                    assert_eq!(
+                        batched.donation_active(),
+                        *state != "donation dropped",
+                        "{}, {state}: guard verdict",
+                        kind.label()
+                    );
+                }
+                assert_eq!(seq.donation_active(), batched.donation_active());
+                push(&mut seq_hist, a);
+                push(&mut batch_hist, batch[0].clone());
+            }
         }
     }
 }

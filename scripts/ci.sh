@@ -34,6 +34,8 @@ SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --tes
 # The cached-vs-uncached BayesOpt proposal sequences pin the same
 # invariance for EI chunk scoring, BO's remaining fan-out, and the
 # k-medoids oracle pins it for the swap candidates scored per worker.
+# transfer's unit tests run at both counts too: the cluster index's
+# builds score k-medoids swaps over the same workers.
 for threads in 1 2; do
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test tune_fingerprints"
   SEAMLESS_THREADS="${threads}" cargo test -q --test tune_fingerprints
@@ -41,6 +43,8 @@ for threads in 1 2; do
   SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test bo_equivalence
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p models --test kmedoids_oracle"
   SEAMLESS_THREADS="${threads}" cargo test -q -p models --test kmedoids_oracle
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --lib transfer"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --lib transfer
 done
 
 # The chaos suite asserts seed-for-seed reproducible fault injection;

@@ -12,7 +12,11 @@
 //! `SEAMLESS_THREADS` (BO acquisition is chunked over worker threads).
 //! The clustered-donor value was recorded on the 16-shard history store
 //! before it became one log; its two passes over the trio cover the
-//! cluster index's first build, its absorbs and a rebuild.
+//! cluster index's first build, its absorbs and a rebuild. The batch-8
+//! BayesOpt value was re-recorded when `TransferTuner` began forwarding
+//! whole batches to the strategy it wraps (its later tenants run under
+//! transfer); the clustered batch-8 value was recorded then and pins
+//! that path with clustered donors.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -85,7 +89,7 @@ fn batched_bayesopt_fingerprint_is_pinned() {
     };
     assert_eq!(
         fingerprint(config, 11, 1),
-        0x7ee824becd858e1c,
+        0x57f532bec0f94f5d,
         "batch-8 BayesOpt fingerprint moved"
     );
 }
@@ -117,5 +121,20 @@ fn clustered_donors_fingerprint_is_pinned() {
         got,
         vec![0x7b319d05a9d6e0cd, 0x9c56058d30e2baaa],
         "clustered-donor fingerprints moved"
+    );
+}
+
+#[test]
+fn clustered_batched_transfer_fingerprint_is_pinned() {
+    let config = ServiceConfig {
+        tuner: TunerKind::BayesOpt,
+        batch: 8,
+        clustered_donors: true,
+        ..ServiceConfig::default()
+    };
+    assert_eq!(
+        fingerprint(config, 13, 2),
+        0x1a01808e75dfd99e,
+        "clustered batch-8 transfer fingerprint moved"
     );
 }
